@@ -15,8 +15,8 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import fields, replace
-from typing import IO, Iterator, Sequence
+from dataclasses import fields
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,23 +24,29 @@ from .dynamics import (DEFAULT_STEPS, analytic_coeffs, evolve_master,
                        ode_oracle_coeffs)
 from .errors import ConfigError, NumericalError, ValidationError
 from .linalg import norms_of_hermitian
-from .model import SystemParams, default_cutoff, derive
-from .sweep import (SweepRow, SweepSpec, engine_row, run_sweep,
+from .model import SystemParams, derive, matched_reservoir
+from .sweep import (ENGINES, SweepSpec, engine_row, engines_of, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
 
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
-SWEEP_KEYS = ("variable", "range", "second_variable", "second_range",
-              "constraint_mode", "engine", "cutoff", "steps")
 
 
-def _parse_range(key: str, text: str) -> tuple[float, float, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key} must be 'start,stop,points', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} value {text!r}: {exc}") from None
+def _parse_range(text: str) -> tuple[float, float, int]:
+    start, stop, points = text.split(",")
+    return float(start), float(stop), int(points)
+
+
+# Each sweep key (a SweepSpec field) and the converter for its text value.
+SWEEP_KEYS = {
+    "variable": str,
+    "range": _parse_range,
+    "second_variable": str,
+    "second_range": _parse_range,
+    "constraint_mode": str,
+    "engine": str,
+    "cutoff": int,
+    "steps": int,
+}
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -67,22 +73,15 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _float_of(key: str, text: str) -> float:
+def _convert(key: str, text: str, convert: Callable[[str], object]) -> object:
     try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {text!r}") from None
-
-
-def _int_of(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {text!r}") from None
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
 
 
 def build_params(settings: dict[str, str]) -> SystemParams:
-    kwargs = {key: _float_of(key, settings[key]) for key in PARAM_KEYS
+    kwargs = {key: _convert(key, settings[key], float) for key in PARAM_KEYS
               if key in settings}
     return SystemParams(**kwargs)
 
@@ -90,25 +89,9 @@ def build_params(settings: dict[str, str]) -> SystemParams:
 def build_sweep_spec(settings: dict[str, str]) -> SweepSpec:
     if "variable" not in settings or "range" not in settings:
         raise ConfigError("a sweep needs both 'variable' and 'range'")
-    kwargs: dict = {
-        "variable": settings["variable"],
-        "range": _parse_range("range", settings["range"]),
-        "base": build_params(settings),
-    }
-    if "second_variable" in settings:
-        kwargs["second_variable"] = settings["second_variable"]
-    if "second_range" in settings:
-        kwargs["second_range"] = _parse_range("second_range",
-                                              settings["second_range"])
-    if "constraint_mode" in settings:
-        kwargs["constraint_mode"] = settings["constraint_mode"]
-    if "engine" in settings:
-        kwargs["engine"] = settings["engine"]
-    if "cutoff" in settings:
-        kwargs["cutoff"] = _int_of("cutoff", settings["cutoff"])
-    if "steps" in settings:
-        kwargs["steps"] = _int_of("steps", settings["steps"])
-    return SweepSpec(**kwargs)
+    kwargs = {key: _convert(key, settings[key], convert)
+              for key, convert in SWEEP_KEYS.items() if key in settings}
+    return SweepSpec(base=build_params(settings), **kwargs)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,15 +112,18 @@ def _collect_flag_settings(args: argparse.Namespace, keys: Sequence[str]) -> dic
 def _out_stream(path: str | None) -> Iterator[IO[str]]:
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+    with handle:
+        yield handle
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    cutoff = args.cutoff if args.cutoff is not None else default_cutoff(derive(params))
-    traj = evolve_master(params, cutoff, args.steps)
+    traj = evolve_master(params, args.cutoff, args.steps)
     with _out_stream(args.out) as stream:
         write_trajectory_csv(traj, stream)
     return 0
@@ -145,11 +131,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_qsl(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    engines = ("analytic", "master") if args.engine == "both" else (args.engine,)
-    rows: list[SweepRow] = []
-    for engine in engines:
-        rows.append(engine_row(params, engine, 0, 0.0, None, args.cutoff,
-                               args.steps, catch_errors=False))
+    rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
+                       catch_errors=False)
+            for engine in engines_of(args.engine)]
     with _out_stream(args.out) as stream:
         write_sweep_csv(rows, stream)
     return 0
@@ -164,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         settings.update(parse_config(text))
-    settings.update(_collect_flag_settings(args, PARAM_KEYS + SWEEP_KEYS))
+    settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
     rows = run_sweep(spec, workers=args.workers)
     with _out_stream(args.out) as stream:
@@ -195,7 +179,7 @@ def run_checks(seed: int) -> list[tuple[str, bool, str]]:
     for _ in range(100):
         params = SystemParams(r_p=float(rng.uniform(0.0, 1.5)),
                               theta_p=float(rng.uniform(0.0, 2.0 * math.pi)))
-        d = derive(replace_reservoir(params))
+        d = derive(matched_reservoir(params))
         worst = max(worst, abs(d.n_s), abs(d.m_s))
     results.append(("noise-cancellation", worst <= 1e-12, f"residual {worst:.3g}"))
 
@@ -215,11 +199,6 @@ def run_checks(seed: int) -> list[tuple[str, bool, str]]:
                         abs(exact.photon_amp - oracle.photon_amp))
     results.append(("closed-form-vs-oracle", worst <= 1e-8, f"max err {worst:.3g}"))
     return results
-
-
-def replace_reservoir(params: SystemParams) -> SystemParams:
-    """Reservoir settings that null the effective cavity noise."""
-    return replace(params, r_e=params.r_p, theta_e=math.pi - params.theta_p)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -248,8 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_qsl = sub.add_parser("qsl", help="speed-limit summary at one point")
     _add_param_flags(p_qsl)
-    p_qsl.add_argument("--engine", choices=("analytic", "master", "both"),
-                       default="master")
+    p_qsl.add_argument("--engine", choices=ENGINES, default="master")
     p_qsl.add_argument("--cutoff", type=int, default=None)
     p_qsl.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_qsl.add_argument("--out", type=str, default=None)
@@ -258,12 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter sweep")
     p_sweep.add_argument("--config", type=str, default=None)
     _add_param_flags(p_sweep)
-    for key in ("variable", "second_variable", "constraint_mode", "engine"):
+    for key in SWEEP_KEYS:
         p_sweep.add_argument(f"--{key}", type=str, default=None)
-    p_sweep.add_argument("--range", type=str, default=None)
-    p_sweep.add_argument("--second_range", type=str, default=None)
-    p_sweep.add_argument("--cutoff", type=str, default=None)
-    p_sweep.add_argument("--steps", type=str, default=None)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -279,13 +253,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return cli_main(argv)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (CutoffNotConverged, DimensionMismatch, EmptyTrajectory,
                      PositivityViolated, StepTooLarge, ValidationError,
                      WrongInitialState)
-from .linalg import partial_trace_cavity_stack
+from .linalg import eigvalsh, partial_trace_cavity_stack
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
                     default_cutoff, derive)
 
@@ -42,16 +42,15 @@ CONVERGENCE_DISTANCE = 1e-8
 class AnalyticCoeffs:
     """Closed-form amplitudes at one instant, plus the rate combinations.
 
-    excited_amp multiplies |e,0>, photon_amp multiplies |g,1>, ground_amp
-    multiplies |g,0> (identically zero on this path; the master equation
-    carries the honest ground-state refill). decay_diff and decay_sum are
+    excited_amp multiplies |e,0> and photon_amp multiplies |g,1>; the |g,0>
+    amplitude is identically zero on this path (the master equation carries
+    the honest ground-state refill). decay_diff and decay_sum are
     (gamma - kappa) + 2i(delta_a - delta_s) and (gamma + kappa) +
     2i(delta_a + delta_s); splitting_root is sqrt(decay_diff^2 - 16 g_s^2).
     """
 
     excited_amp: complex
     photon_amp: complex
-    ground_amp: complex
     decay_diff: complex
     decay_sum: complex
     splitting_root: complex
@@ -127,7 +126,7 @@ def analytic_coeffs(params: SystemParams, t: float) -> AnalyticCoeffs:
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     excited, photon, diff, total, root = _amplitudes(params, np.array([t]))
-    return AnalyticCoeffs(complex(excited[0]), complex(photon[0]), 0j, diff, total, root)
+    return AnalyticCoeffs(complex(excited[0]), complex(photon[0]), diff, total, root)
 
 
 def _oracle_step_limit(params: SystemParams) -> float:
@@ -182,7 +181,7 @@ def ode_oracle_coeffs(params: SystemParams, t: float,
     _, amps = _oracle_trajectory(params, t, step)
     d = derive(params)
     diff, total, root = _rate_combinations(d, params)
-    return AnalyticCoeffs(complex(amps[-1, 0]), complex(amps[-1, 1]), 0j, diff, total, root)
+    return AnalyticCoeffs(complex(amps[-1, 0]), complex(amps[-1, 1]), diff, total, root)
 
 
 def analytic_atom_state(params: SystemParams, t: float) -> np.ndarray:
@@ -358,7 +357,7 @@ def _final_atom_state(params: SystemParams, cutoff: int, steps: int) -> np.ndarr
 
 def _trace_distance_2x2(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
-    w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    w = eigvalsh(0.5 * (diff + diff.conj().T))
     return float(0.5 * np.abs(w).sum())
 
 
@@ -390,15 +389,15 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     traces = np.einsum("tii->t", rho_full).real
     herm_err = float(np.abs(rho_full - rho_full.conj().transpose(0, 2, 1)).max())
     sym = 0.5 * (rho_full + rho_full.conj().transpose(0, 2, 1))
-    min_eigs = np.linalg.eigvalsh(sym)[:, 0]
+    min_eigs = eigvalsh(sym)[:, 0]
     worst = float(min_eigs.min())
-    if worst < POSITIVITY_FLOOR:
+    if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
 
     refined = _final_atom_state(params, cutoff + 2, steps)
     conv_dist = _trace_distance_2x2(rho_atom[-1], refined)
-    if conv_dist > CONVERGENCE_DISTANCE:
+    if not conv_dist <= CONVERGENCE_DISTANCE:
         raise CutoffNotConverged(
             f"cutoff {cutoff} vs {cutoff + 2}: endpoint trace distance "
             f"{conv_dist:.3e} exceeds {CONVERGENCE_DISTANCE:.1e}")

@@ -47,7 +47,7 @@ def hermitianize(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.1e}")
     return 0.5 * (m + m.conj().T)
 
@@ -62,17 +62,21 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEig:
     return HermitianEig(w, v)
 
 
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh, with a LAPACK failure raised as NoConvergence."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def norms_of_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianNorms:
     """Operator, trace, and Hilbert-Schmidt norms of a Hermitian matrix.
 
     Singular values of a Hermitian matrix are |eigenvalues|, so
     op = max|w|, tr = sum|w|, hs = sqrt(sum w^2). Always op <= hs <= tr.
     """
-    sym = hermitianize(m, tol)
-    try:
-        w = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
+    w = eigvalsh(hermitianize(m, tol))
     aw = np.abs(w)
     return HermitianNorms(float(aw.max()), float(aw.sum()), float(np.sqrt((w * w).sum())))
 
@@ -86,7 +90,7 @@ def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """
     stack = np.asarray(stack, dtype=complex)
     sym = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
-    w = np.linalg.eigvalsh(sym)
+    w = eigvalsh(sym)
     aw = np.abs(w)
     return aw.max(axis=1), aw.sum(axis=1), np.sqrt((w * w).sum(axis=1))
 

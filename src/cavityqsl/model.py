@@ -15,7 +15,7 @@ units of 1/g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,6 +121,11 @@ def derive(params: SystemParams) -> DerivedParams:
            + np.exp(-1j * phase_sum) * math.sinh(params.r_p) ** 2))
     return DerivedParams(beta=beta, g_s=g_s, delta_s=delta_s,
                          n_s=float(n_s), m_s=complex(m_s))
+
+
+def matched_reservoir(params: SystemParams) -> SystemParams:
+    """The same point with the reservoir matched to the drive, so n_s = m_s = 0."""
+    return replace(params, r_e=params.r_p, theta_e=math.pi - params.theta_p)
 
 
 def default_cutoff(derived: DerivedParams) -> int:

@@ -45,15 +45,15 @@ def bures_angle(rho0_pure: np.ndarray, rho_t: np.ndarray) -> float:
     For rank-1 rho0 the fidelity collapses to the overlap trace(rho0 rho_t).
     Rounding may push the overlap a hair outside [0, 1]; that is clamped,
     but a violation beyond 1e-9 means the trajectory itself is broken and
-    raises instead.
+    raises instead. Both gates are written so that NaN fails them.
     """
     rho0_pure = np.asarray(rho0_pure, dtype=complex)
     rho_t = np.asarray(rho_t, dtype=complex)
     purity = float(np.trace(rho0_pure @ rho0_pure).real)
-    if purity < 1.0 - PURITY_TOL:
+    if not purity >= 1.0 - PURITY_TOL:
         raise NotPure(f"reference state purity {purity} below 1 - {PURITY_TOL:.1e}")
     fidelity = float(np.trace(rho0_pure @ rho_t).real)
-    if fidelity > 1.0 + FIDELITY_OVERSHOOT or fidelity < -FIDELITY_OVERSHOOT:
+    if not -FIDELITY_OVERSHOOT <= fidelity <= 1.0 + FIDELITY_OVERSHOOT:
         raise NumericalError(f"fidelity {fidelity} outside [0, 1] beyond tolerance")
     fidelity = min(max(fidelity, 0.0), 1.0)
     return float(np.arccos(np.sqrt(fidelity)))

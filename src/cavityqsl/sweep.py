@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import IO, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import (DEFAULT_STEPS, MIN_STEPS, Trajectory, analytic_trajectory,
                        evolve_master)
 from .errors import NumericalError, ValidationError
-from .model import SystemParams, default_cutoff, derive
+from .model import SystemParams, default_cutoff, derive, matched_reservoir
 from .qsl import qsl_time
 
 SWEEPABLE = ("delta_a", "delta_c", "r_p", "g", "alpha")
@@ -30,10 +30,6 @@ MODES = ("free", "fig2_constrained")
 # The constrained mode pins the squeezed-picture cavity detuning to this
 # multiple of the enhanced coupling, recomputed at every grid point.
 CONSTRAINED_DETUNING_RATIO = 3.0
-
-CSV_HEADER = ("index,var1,var2,beta,g_s,delta_s,n_s,abs_m_s,engine,bures,"
-              "lambda_op,lambda_tr,lambda_hs,t_op,t_tr,t_hs,t_qsl,cutoff,"
-              "steps,trace_err,flag")
 
 
 @dataclass(frozen=True)
@@ -132,6 +128,17 @@ class SweepRow:
     herm_err: float | None = None
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+# The sweep CSV columns, in order: the SweepRow fields up to flag.
+CSV_FIELDS = _ROW_FIELDS[:_ROW_FIELDS.index("flag") + 1]
+CSV_HEADER = ",".join(CSV_FIELDS)
+
+
+def engines_of(engine: str) -> tuple[str, ...]:
+    """The engines one ENGINES choice runs, analytic first."""
+    return ("analytic", "master") if engine == "both" else (engine,)
+
+
 def grid_values(rng: tuple[float, float, int]) -> np.ndarray:
     """Inclusive uniform grid."""
     start, stop, points = rng
@@ -148,15 +155,11 @@ def _apply_fig2_constraint(params: SystemParams, base: SystemParams,
     read fixed detunings as multiples of the coupling (relevant only when
     g itself is swept). Swept variables are never overridden.
     """
-    updates: dict[str, float] = {}
-    beta = math.tanh(2.0 * params.r_p)
-    g_s = params.g * math.cosh(params.r_p)
-    updates["delta_c"] = CONSTRAINED_DETUNING_RATIO * g_s / math.sqrt(1.0 - beta * beta)
-    updates["r_e"] = params.r_p
-    updates["theta_e"] = math.pi - params.theta_p
+    d = derive(params)
+    updates = {"delta_c": CONSTRAINED_DETUNING_RATIO * d.g_s / math.sqrt(1.0 - d.beta * d.beta)}
     if "delta_a" not in swept and "g" in swept:
         updates["delta_a"] = base.delta_a * (params.g / base.g)
-    return replace(params, **updates)
+    return replace(matched_reservoir(params), **updates)
 
 
 def point_params(spec: SweepSpec, index: int) -> tuple[SystemParams, float, float | None]:
@@ -206,10 +209,8 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
     except (ValidationError, NumericalError) as exc:
         if not catch_errors:
             raise
-        return SweepRow(**common, bures=None, lambda_op=None, lambda_tr=None,
-                        lambda_hs=None, t_op=None, t_tr=None, t_hs=None,
-                        t_qsl=None, cutoff=None, steps=None, trace_err=None,
-                        flag=f"error:{type(exc).__name__}")
+        return SweepRow(**{**dict.fromkeys(CSV_FIELDS), **common,
+                           "flag": f"error:{type(exc).__name__}"})
     return SweepRow(**common, bures=result.bures, lambda_op=result.lambda_op,
                     lambda_tr=result.lambda_tr, lambda_hs=result.lambda_hs,
                     t_op=result.t_op, t_tr=result.t_tr, t_hs=result.t_hs,
@@ -222,9 +223,8 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
 def evaluate_point(spec: SweepSpec, index: int) -> list[SweepRow]:
     """All engine rows for one grid point, analytic first."""
     params, var1, var2 = point_params(spec, index)
-    engines = ("analytic", "master") if spec.engine == "both" else (spec.engine,)
     return [engine_row(params, engine, index, var1, var2, spec.cutoff, spec.steps)
-            for engine in engines]
+            for engine in engines_of(spec.engine)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
@@ -246,21 +246,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     return [row for rows in nested for row in rows]
 
 
-def _fmt(value: float | int | None) -> str:
+def _fmt(value: float | int | str | None) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return format(value, ".17g")
 
 
 def format_row(row: SweepRow) -> str:
-    fields = (row.index, row.var1, row.var2, row.beta, row.g_s, row.delta_s,
-              row.n_s, row.abs_m_s, row.engine, row.bures, row.lambda_op,
-              row.lambda_tr, row.lambda_hs, row.t_op, row.t_tr, row.t_hs,
-              row.t_qsl, row.cutoff, row.steps, row.trace_err, row.flag)
-    return ",".join(field if isinstance(field, str) else _fmt(field)
-                    for field in fields)
+    return ",".join(_fmt(getattr(row, name)) for name in CSV_FIELDS)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:

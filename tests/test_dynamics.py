@@ -38,7 +38,6 @@ def test_coeffs_at_time_zero():
     c = analytic_coeffs(BASE, 0.0)
     assert c.excited_amp == 1.0 + 0j
     assert c.photon_amp == 0j
-    assert c.ground_amp == 0j
 
 
 def test_rate_combinations_exposed():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cavityqsl.cli import (build_params, build_sweep_spec, cli_main,
-                           parse_config, run_checks)
-from cavityqsl.errors import ConfigError, ValidationError
+import cavityqsl.errors
+from cavityqsl import cli
+from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
+                           cli_main, parse_config, run_checks)
+from cavityqsl.errors import ConfigError, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive
 from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec,
                              format_row, grid_values, point_params, run_sweep,
@@ -330,3 +332,85 @@ def test_run_checks_structure():
     assert [name for name, _, _ in results] == [
         "norm-ordering", "noise-cancellation", "closed-form-vs-oracle"]
     assert all(ok for _, ok, _ in results)
+
+
+# ---- sweep keys: config lines and flags agree ----
+
+# One non-default value per SWEEP_KEYS key, together a valid sweep.
+SWEEP_VALUES = {
+    "variable": "delta_a", "range": "-1, 1, 2",
+    "second_variable": "r_p", "second_range": "0, 0.2, 2",
+    "constraint_mode": "fig2_constrained", "engine": "both",
+    "cutoff": "3", "steps": "150",
+}
+
+
+def _spec_from_cli(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec, workers: seen.append(spec) or [])
+    assert cli_main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("key", list(SWEEP_KEYS))
+def test_sweep_key_as_flag_matches_config_line(key, tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SWEEP_VALUES.items() if k != key))
+    spec = _spec_from_cli(monkeypatch, ["sweep", "--config", str(cfg),
+                                        f"--{key}", SWEEP_VALUES[key],
+                                        "--out", str(tmp_path / "out.csv")])
+    # every value differs from the default, so equality shows the flag was read
+    assert spec == build_sweep_spec(dict(SWEEP_VALUES))
+
+
+@pytest.mark.parametrize("key", ["cutoff", "steps"])
+def test_sweep_bad_integer_exits_1(key, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"variable = delta_a\nrange = 0, 1, 2\n{key} = 2.5\n")
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    assert cli_main(["sweep", "--variable", "delta_a", "--range", "0, 1, 2",
+                     f"--{key}", "many"]) == 1
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
+# ---- failures land in rows or exit codes, never in tracebacks ----
+
+def test_lapack_failure_in_sweep_gives_no_convergence_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    with np.errstate(all="ignore"):
+        code = cli_main(["sweep", "--variable", "delta_a", "--range", "0,1,2",
+                         "--gamma", "1e300", "--engine", "master",
+                         "--steps", "100", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 3
+    assert all(line.endswith(",error:NoConvergence") for line in lines[1:])
+
+
+def test_lapack_failure_in_qsl_exits_2(tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code = cli_main(["qsl", "--delta_a", "1e200", "--engine", "master",
+                         "--steps", "100", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_nan_state_is_an_error_row_not_frozen(tmp_path):
+    out = tmp_path / "sweep.csv"
+    with np.errstate(all="ignore"):
+        code = cli_main(["sweep", "--variable", "delta_a", "--range", "1e199,1e200,2",
+                         "--engine", "analytic", "--out", str(out)])
+    assert code == 0
+    text = out.read_text()
+    assert "nan" not in text
+    for line in text.strip().split("\n")[1:]:
+        flag = line.rsplit(",", 1)[1]
+        assert flag.startswith("error:")
+        assert issubclass(getattr(cavityqsl.errors, flag[len("error:"):]), NumericalError)
+
+
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.csv"
+    assert cli_main(["qsl", "--steps", "100", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(target) in err
