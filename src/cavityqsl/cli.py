@@ -110,6 +110,8 @@ def _collect_flag_settings(args: argparse.Namespace, keys: Sequence[str]) -> dic
 
 @contextlib.contextmanager
 def _out_stream(path: str | None) -> Iterator[IO[str]]:
+    """stdout, or the file at path, opened (and truncated) before any work
+    so that a bad path fails fast; a run that fails later leaves it short."""
     if path is None:
         yield sys.stdout
         return
@@ -123,18 +125,17 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    traj = evolve_master(params, args.cutoff, args.steps)
     with _out_stream(args.out) as stream:
-        write_trajectory_csv(traj, stream)
+        write_trajectory_csv(evolve_master(params, args.cutoff, args.steps), stream)
     return 0
 
 
 def _cmd_qsl(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
-                       catch_errors=False)
-            for engine in engines_of(args.engine)]
     with _out_stream(args.out) as stream:
+        rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
+                           catch_errors=False)
+                for engine in engines_of(args.engine)]
         write_sweep_csv(rows, stream)
     return 0
 
@@ -150,9 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         settings.update(parse_config(text))
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
-    rows = run_sweep(spec, workers=args.workers)
     with _out_stream(args.out) as stream:
-        write_sweep_csv(rows, stream)
+        write_sweep_csv(run_sweep(spec, workers=args.workers), stream)
     return 0
 
 

@@ -5,7 +5,8 @@ Two independent routes to the same physics:
 * the closed-form single-excitation amplitudes of the effective
   non-Hermitian evolution (analytic path, excited start only), and
 * fixed-step RK4 integration of the squeezed-picture Lindblad master
-  equation on a truncated Fock space (master path, any initial angle).
+  equation on a truncated Fock space (master path, any initial angle),
+  restricted to the entries of vec(rho) that the initial state reaches.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -139,7 +140,10 @@ def _oracle_step_limit(params: SystemParams) -> float:
 
 
 def _oracle_trajectory(params: SystemParams, t: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on the two-amplitude linear system; returns (times, amps[n+1, 2])."""
+    """RK4 on the two-amplitude linear system; returns (times, amps[n+1, 2]).
+
+    The 2x2 RK4 step matrix is propagated the same way as the master path's.
+    """
     _require_excited_start(params)
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
@@ -154,16 +158,7 @@ def _oracle_trajectory(params: SystemParams, t: float, step: float) -> tuple[np.
          [d.g_s, d.delta_s - 0.5j * params.kappa]], dtype=complex)
     n = max(1, math.ceil(t / step)) if t > 0 else 0
     h = t / n if n else 0.0
-    amps = np.empty((n + 1, 2), dtype=complex)
-    y = np.array([1.0 + 0j, 0.0 + 0j])
-    amps[0] = y
-    for i in range(1, n + 1):
-        k1 = coupling @ y
-        k2 = coupling @ (y + 0.5 * h * k1)
-        k3 = coupling @ (y + 0.5 * h * k2)
-        k4 = coupling @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        amps[i] = y
+    amps = _propagate(_rk4_step_matrix(coupling, h), np.array([1.0 + 0j, 0.0 + 0j]), n)
     return np.linspace(0.0, t, n + 1), amps
 
 
@@ -200,7 +195,11 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
 
     The reduced-state derivative is exact: d|A|^2/dt = 2 Re(A* dA/dt) with
     the amplitude derivatives taken from the ODE right-hand side, which the
-    closed form satisfies identically.
+    closed form satisfies identically. The detuning terms of that right-hand
+    side are imaginary and drop out of the real part analytically, leaving
+    d|A_e|^2/dt = -gamma |A_e|^2 + 2 g_s Im(A_e* A_p) and
+    d|A_p|^2/dt = -kappa |A_p|^2 - 2 g_s Im(A_e* A_p); taking them
+    numerically would leave delta * eps noise at large detuning.
     """
     _require_excited_start(params)
     if steps < MIN_STEPS:
@@ -208,12 +207,11 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     d = derive(params)
     times = np.linspace(0.0, params.tau, steps + 1)
     excited, photon, _, _, _ = _amplitudes(params, times)
-    excited_dot = -1j * ((params.delta_a - 0.5j * params.gamma) * excited + d.g_s * photon)
-    photon_dot = -1j * ((d.delta_s - 0.5j * params.kappa) * photon + d.g_s * excited)
     pop_e = np.abs(excited) ** 2
     pop_p = np.abs(photon) ** 2
-    rate_e = 2.0 * np.real(np.conj(excited) * excited_dot)
-    rate_p = 2.0 * np.real(np.conj(photon) * photon_dot)
+    exchange = 2.0 * d.g_s * np.imag(np.conj(excited) * photon)
+    rate_e = -params.gamma * pop_e + exchange
+    rate_p = -params.kappa * pop_p - exchange
     n = steps + 1
     rho_atom = np.zeros((n, 2, 2), dtype=complex)
     rho_atom[:, 0, 0] = pop_e
@@ -270,40 +268,27 @@ def liouvillian(ops: ModelOperators, derived: DerivedParams, rho: np.ndarray) ->
 def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np.ndarray:
     """Matrix acting on row-major vectorized states: vec(rho_dot) = L vec(rho).
 
-    Same map as liouvillian(); built once per trajectory so that time
-    stepping reduces to matrix-vector products. For row-major vec,
-    vec(A X B) = (A kron B^T) vec(X).
+    Same map as liouvillian(), written through the effective non-Hermitian
+    Hamiltonian H_eff = H - (i/2) sum_k c_k B_k A_k of the jump terms
+    c_k A_k rho B_k: rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k.
+    The plain dissipators jump with (A, B) = (o, o†), the two-photon terms
+    with (o, o). For row-major vec, vec(A X B) = (A kron B^T) vec(X), so L
+    takes one kron per jump term and two for H_eff. Built once per
+    trajectory so that time stepping reduces to matrix products.
     """
-    h = ops.hamiltonian
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-
-    def left(x: np.ndarray) -> np.ndarray:
-        return np.kron(x, eye)
-
-    def right(x: np.ndarray) -> np.ndarray:
-        return np.kron(eye, x.T)
-
-    def sandwich(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.kron(x, y.T)
-
-    def plain(o: np.ndarray) -> np.ndarray:
-        od = o.conj().T
-        odo = od @ o
-        return left(odo) - 2.0 * sandwich(o, od) + right(odo)
-
-    def twophoton(o: np.ndarray) -> np.ndarray:
-        oo = o @ o
-        return left(oo) - 2.0 * sandwich(o, o) + right(oo)
-
+    eye = np.eye(ops.hamiltonian.shape[0], dtype=complex)
+    atom = ops.lindblad_atom
     cav = ops.lindblad_cavity
     cav_dag = cav.conj().T
-    super_op = 1j * (right(h) - left(h))
-    super_op -= 0.5 * (plain(ops.lindblad_atom)
-                       + (derived.n_s + 1.0) * plain(cav)
-                       + derived.n_s * plain(cav_dag)
-                       - derived.m_s * twophoton(cav_dag)
-                       - np.conj(derived.m_s) * twophoton(cav))
+    jumps = ((1.0, atom, atom.conj().T),
+             (derived.n_s + 1.0, cav, cav_dag),
+             (derived.n_s, cav_dag, cav),
+             (-derived.m_s, cav_dag, cav_dag),
+             (-np.conj(derived.m_s), cav, cav))
+    h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
+    super_op = np.kron(-1j * h_eff, eye) + np.kron(eye, (1j * h_eff.conj().T).T)
+    for c, a, b in jumps:
+        super_op += c * np.kron(a, b.T)
     return super_op
 
 
@@ -331,28 +316,70 @@ def _rk4_step_matrix(super_op: np.ndarray, h: float) -> np.ndarray:
     return step
 
 
-def _integrate_states(params: SystemParams, cutoff: int, steps: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the grid and return (states[n+1, d*d] row-vectorized, L, fock_dim)."""
-    ops = build_operators(params, cutoff)
-    d = derive(params)
-    super_op = liouvillian_superoperator(ops, d)
-    fock_dim = cutoff + 1
-    h = params.tau / steps
-    step_matrix = _rk4_step_matrix(super_op, h)
-    vec = initial_state(params, fock_dim).reshape(-1)
+def _propagate(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarray:
+    """Rows vec, S vec, ..., S^steps vec for the step matrix S, shape (steps+1, d).
+
+    Doubling: with rows 0..m-1 known and P = S^m, rows m..2m-1 are one
+    matrix product away, then P <- P P. About log2(steps) products of
+    growing height replace a Python loop of steps matrix-vector products.
+    """
     states = np.empty((steps + 1, vec.size), dtype=complex)
     states[0] = vec
-    for i in range(1, steps + 1):
-        vec = step_matrix @ vec
-        states[i] = vec
-    return states, super_op, fock_dim
+    power = step_matrix
+    done = 1
+    while done <= steps:
+        m = min(done, steps + 1 - done)
+        np.matmul(states[:m], power.T, out=states[done:done + m])
+        done += m
+        if done <= steps:
+            power = power @ power
+    return states
 
 
-def _final_atom_state(params: SystemParams, cutoff: int, steps: int) -> np.ndarray:
-    """Endpoint reduced state only (used by the cutoff-convergence check)."""
-    states, _, fock_dim = _integrate_states(params, cutoff, steps)
+def _propagate_endpoint(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarray:
+    """S^steps vec by binary powering: log2(steps) squarings, no stored rows."""
+    power = step_matrix
+    while True:
+        if steps & 1:
+            vec = power @ vec
+        steps >>= 1
+        if not steps:
+            return vec
+        power = power @ power
+
+
+def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the True entries of start, where j
+    reaches i when pattern[i, j] is True."""
+    inside = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = pattern[:, frontier].any(axis=1) & ~inside
+        inside |= frontier
+    return np.flatnonzero(inside)
+
+
+def _reachable_block(params: SystemParams, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L[idx, idx], vec(rho_0)[idx], idx) on the entries of vec(rho) that rho_0 reaches.
+
+    idx is the support of vec(rho_0) closed under the exact nonzero pattern
+    of the full Liouvillian L, so L[outside, idx] is exactly zero, entries
+    outside idx stay exactly zero, and L[idx, idx] propagates the same
+    linear map as L.
+    """
+    super_op = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    vec = initial_state(params, cutoff + 1).reshape(-1)
+    idx = _reachable(super_op != 0, vec != 0)
+    return super_op[np.ix_(idx, idx)], vec[idx], idx
+
+
+def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
+    """(4, len(idx)) matrix taking vec(rho)[idx] to the row-major vec(Tr_cav rho)."""
     dim = 2 * fock_dim
-    return partial_trace_cavity_stack(states[-1:].reshape(1, dim, dim), 2, fock_dim)[0]
+    basis = np.zeros((idx.size, dim * dim), dtype=complex)
+    basis[np.arange(idx.size), idx] = 1.0
+    atom = partial_trace_cavity_stack(basis.reshape(-1, dim, dim), 2, fock_dim)
+    return atom.reshape(-1, 4).T
 
 
 def _trace_distance_2x2(a: np.ndarray, b: np.ndarray) -> float:
@@ -377,14 +404,18 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     if cutoff < 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
 
-    states, super_op, fock_dim = _integrate_states(params, cutoff, steps)
+    generator, start, idx = _reachable_block(params, cutoff)
+    h = params.tau / steps
+    states = _propagate(_rk4_step_matrix(generator, h), start, steps)
     n = steps + 1
+    fock_dim = cutoff + 1
     dim = 2 * fock_dim
-    rho_full = states.reshape(n, dim, dim)
-    # one matmul for every grid point's derivative
-    rho_dot_full = (states @ super_op.T).reshape(n, dim, dim)
-    rho_atom = partial_trace_cavity_stack(rho_full, 2, fock_dim)
-    rho_atom_dot = partial_trace_cavity_stack(rho_dot_full, 2, fock_dim)
+    full = np.zeros((n, dim * dim), dtype=complex)
+    full[:, idx] = states
+    rho_full = full.reshape(n, dim, dim)
+    trace_map = _trace_map(idx, fock_dim)
+    rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
+    rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
 
     traces = np.einsum("tii->t", rho_full).real
     herm_err = float(np.abs(rho_full - rho_full.conj().transpose(0, 2, 1)).max())
@@ -395,7 +426,10 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
 
-    refined = _final_atom_state(params, cutoff + 2, steps)
+    # the cutoff+2 rerun needs only its endpoint
+    generator, start, idx = _reachable_block(params, cutoff + 2)
+    end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
+    refined = (_trace_map(idx, fock_dim + 2) @ end).reshape(2, 2)
     conv_dist = _trace_distance_2x2(rho_atom[-1], refined)
     if not conv_dist <= CONVERGENCE_DISTANCE:
         raise CutoffNotConverged(

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, analytic_atom_state,
-                                analytic_coeffs, analytic_trajectory,
-                                evolve_master, initial_state, liouvillian,
+from cavityqsl.dynamics import (DEFAULT_STEPS, _oracle_trajectory,
+                                _reachable_block, _rk4_step_matrix, _trace_map,
+                                analytic_atom_state, analytic_coeffs,
+                                analytic_trajectory, evolve_master,
+                                initial_state, liouvillian,
                                 liouvillian_superoperator, ode_oracle_coeffs)
 from cavityqsl.errors import (CutoffNotConverged, PositivityViolated,
                               StepTooLarge, ValidationError, WrongInitialState)
+from cavityqsl.linalg import partial_trace_cavity_stack
 from cavityqsl.model import DerivedParams, SystemParams, build_operators, derive
 
 # a point from the constrained detuning sweep, quiet reservoir
@@ -18,6 +21,14 @@ BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
 
 # decay_diff^2 = 16 g_s^2 exactly, driving the splitting root to zero
 DEGENERATE = SystemParams(g=0.01, delta_a=1.0, delta_c=1.0, gamma=0.05, kappa=0.01)
+
+# a quiet point started in (|e> + |g>)/sqrt(2): its block is the full space
+TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
+                      kappa=1e-3, r_e=0.1, theta_e=math.pi, alpha=math.pi / 4)
+
+# unmatched reservoir (n_s = sinh(r_p)^2, m_s != 0): default cutoff 10
+NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
+                     theta_p=0.0, gamma=1e-3, kappa=0.05)
 
 
 def closed_form_reference(params, t, flip_root=False):
@@ -32,6 +43,48 @@ def closed_form_reference(params, t, flip_root=False):
     excited = env * (cmath.cosh(0.25 * root * t) - (diff / root) * cmath.sinh(0.25 * root * t))
     photon = (4.0 * d.g_s / (1j * root)) * env * cmath.sinh(0.25 * root * t)
     return excited, photon
+
+
+def sequential_rk4_oracle(params, t, n):
+    """Four-stage RK4 on the amplitude ODEs, one Python step at a time."""
+    d = derive(params)
+    coupling = -1j * np.array(
+        [[params.delta_a - 0.5j * params.gamma, d.g_s],
+         [d.g_s, d.delta_s - 0.5j * params.kappa]], dtype=complex)
+    h = t / n
+    amps = np.empty((n + 1, 2), dtype=complex)
+    y = np.array([1.0 + 0j, 0.0 + 0j])
+    amps[0] = y
+    for i in range(1, n + 1):
+        k1 = coupling @ y
+        k2 = coupling @ (y + 0.5 * h * k1)
+        k3 = coupling @ (y + 0.5 * h * k2)
+        k4 = coupling @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        amps[i] = y
+    return amps
+
+
+def sequential_master_reference(params, cutoff, steps):
+    """Full-space master path, one step-matrix product per grid point.
+
+    Returns (rho_full, rho_atom, rho_atom_dot) with the derivative taken as
+    L vec(rho) on the full space and both reduced states by partial trace.
+    """
+    super_op = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    fock_dim = cutoff + 1
+    dim = 2 * fock_dim
+    step_matrix = _rk4_step_matrix(super_op, params.tau / steps)
+    vec = initial_state(params, fock_dim).reshape(-1)
+    states = np.empty((steps + 1, vec.size), dtype=complex)
+    states[0] = vec
+    for i in range(1, steps + 1):
+        vec = step_matrix @ vec
+        states[i] = vec
+    rho_full = states.reshape(-1, dim, dim)
+    rho_dot = (states @ super_op.T).reshape(-1, dim, dim)
+    return (rho_full, partial_trace_cavity_stack(rho_full, 2, fock_dim),
+            partial_trace_cavity_stack(rho_dot, 2, fock_dim))
 
 
 def test_coeffs_at_time_zero():
@@ -294,3 +347,54 @@ def test_hot_reservoir_needs_headroom():
     traj = evolve_master(hot, steps=400)
     assert traj.fock_cutoff == 10
     assert traj.conv_dist <= 1e-8
+
+
+@pytest.mark.parametrize("params, cutoff, size", [
+    (BASE, 2, 18), (TILTED, 2, 36), (NOISY, 10, 242), (NOISY, 12, 338)])
+def test_reachable_block_is_closed(params, cutoff, size):
+    full = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    generator, start, idx = _reachable_block(params, cutoff)
+    assert idx.size == size
+    outside = np.setdiff1d(np.arange(full.shape[0]), idx)
+    assert (full[np.ix_(outside, idx)] == 0).all()
+    vec = initial_state(params, cutoff + 1).reshape(-1)
+    assert np.isin(np.flatnonzero(vec), idx).all()
+    assert (vec[outside] == 0).all() and (start == vec[idx]).all()
+    assert (generator == full[np.ix_(idx, idx)]).all()
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_master_matches_sequential_full_space_loop(params):
+    traj = evolve_master(params)
+    rho_full, rho_atom, rho_atom_dot = sequential_master_reference(
+        params, traj.fock_cutoff, DEFAULT_STEPS)
+    assert np.abs(traj.rho_full - rho_full).max() <= 1e-12
+    assert np.abs(traj.rho_atom - rho_atom).max() <= 1e-12
+    assert np.abs(traj.rho_atom_dot - rho_atom_dot).max() <= 1e-12
+
+
+def test_trace_map_is_the_partial_trace():
+    rng = np.random.default_rng(3)
+    fock_dim = 4
+    dim = 2 * fock_dim
+    stack = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+    trace_map = _trace_map(np.arange(dim * dim), fock_dim)
+    via_map = (stack.reshape(5, -1) @ trace_map.T).reshape(5, 2, 2)
+    direct = partial_trace_cavity_stack(stack, 2, fock_dim)
+    assert np.abs(via_map - direct).max() <= 1e-13
+    # on a subset of entries the map reads only those entries
+    idx = np.sort(rng.choice(dim * dim, size=20, replace=False))
+    masked = np.zeros((5, dim * dim), dtype=complex)
+    masked[:, idx] = stack.reshape(5, -1)[:, idx]
+    via_block = (stack.reshape(5, -1)[:, idx] @ _trace_map(idx, fock_dim).T).reshape(5, 2, 2)
+    direct = partial_trace_cavity_stack(masked.reshape(5, dim, dim), 2, fock_dim)
+    assert np.abs(via_block - direct).max() <= 1e-13
+
+
+@pytest.mark.parametrize("params", [BASE, DEGENERATE, SystemParams(g=2.5, delta_a=-9.0,
+                                                                   delta_c=7.0, gamma=0.1)])
+def test_oracle_matches_sequential_rk4(params):
+    t, n = 1.0, 40000
+    _, amps = _oracle_trajectory(params, t, t / n)
+    # same step map; only the order of round-off differs (about n * eps each)
+    assert np.abs(amps - sequential_rk4_oracle(params, t, n)).max() <= 1e-10

@@ -414,3 +414,31 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys):
     assert cli_main(["qsl", "--steps", "100", "--out", str(target)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(target) in err
+
+
+@pytest.mark.parametrize("command, owner, name", [
+    (["sweep", "--variable", "delta_a", "--range", "0,1,2"], "sweep", "evaluate_point"),
+    (["qsl"], "cli", "engine_row"),
+    (["evolve"], "cli", "evolve_master"),
+])
+def test_unwritable_out_fails_before_any_point(command, owner, name, tmp_path,
+                                               monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a point was evaluated before --out was opened")
+
+    monkeypatch.setattr(getattr(cavityqsl, owner), name, no_compute)
+    target = tmp_path / "missing" / "out.csv"
+    assert cli_main([*command, "--steps", "100", "--out", str(target)]) == 1
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_far_detuned_analytic_point_is_frozen(capsys):
+    # the atom barely moves (Bures angle ~1e-8); the detuning terms of the
+    # rate once left delta_a * eps noise and a spurious `ok` row
+    assert cli_main(["qsl", "--delta_a", "1e150", "--engine", "analytic",
+                     "--steps", "100"]) == 0
+    header, line = capsys.readouterr().out.strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["flag"] == "frozen"
+    assert 0.0 <= float(row["lambda_op"]) <= 1e-140
+    assert float(row["t_qsl"]) == 0.0
