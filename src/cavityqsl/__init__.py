@@ -9,15 +9,10 @@ the standard single-variable curves and two-variable heatmaps.
 
 from .dynamics import (AnalyticCoeffs, Trajectory, analytic_coeffs,
                        analytic_trajectory, evolve_master, initial_state,
-                       liouvillian, liouvillian_superoperator,
-                       ode_oracle_coeffs)
-from .errors import (ConfigError, CutoffNotConverged, DimensionMismatch,
-                     EmptyTrajectory, NotHermitian, NotPure, NoConvergence,
-                     NumericalError, PositivityViolated, SqueezeUnstable,
-                     StepTooLarge, ValidationError, WrongInitialState)
-from .linalg import (HermitianEig, HermitianNorms, dagger, hermitian_eig,
-                     hermitianize, kron, norms_of_hermitian,
-                     norms_of_hermitian_stack, partial_trace_cavity)
+                       liouvillian_superoperator, ode_oracle_coeffs)
+from .errors import (CutoffNotConverged, NotPure, NoConvergence,
+                     NumericalError, PositivityViolated, ValidationError)
+from .linalg import dagger, norms_of_hermitian_stack, partial_trace_cavity_stack
 from .model import (DerivedParams, ModelOperators, SystemParams,
                     bosonic_quadratic_spectrum, build_operators, default_cutoff,
                     derive, squeeze_params)
@@ -29,15 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticCoeffs", "Trajectory", "analytic_coeffs", "analytic_trajectory",
-    "evolve_master", "initial_state", "liouvillian",
-    "liouvillian_superoperator", "ode_oracle_coeffs",
-    "ConfigError", "CutoffNotConverged", "DimensionMismatch",
-    "EmptyTrajectory", "NotHermitian", "NotPure", "NoConvergence",
-    "NumericalError", "PositivityViolated", "SqueezeUnstable", "StepTooLarge",
-    "ValidationError", "WrongInitialState",
-    "HermitianEig", "HermitianNorms", "dagger", "hermitian_eig",
-    "hermitianize", "kron", "norms_of_hermitian", "norms_of_hermitian_stack",
-    "partial_trace_cavity",
+    "evolve_master", "initial_state", "liouvillian_superoperator",
+    "ode_oracle_coeffs",
+    "CutoffNotConverged", "NotPure", "NoConvergence", "NumericalError",
+    "PositivityViolated", "ValidationError",
+    "dagger", "norms_of_hermitian_stack", "partial_trace_cavity_stack",
     "DerivedParams", "ModelOperators", "SystemParams",
     "bosonic_quadratic_spectrum", "build_operators", "default_cutoff",
     "derive", "squeeze_params",

@@ -22,8 +22,8 @@ import numpy as np
 
 from .dynamics import (DEFAULT_STEPS, analytic_coeffs, evolve_master,
                        ode_oracle_coeffs)
-from .errors import ConfigError, NumericalError, ValidationError
-from .linalg import norms_of_hermitian
+from .errors import NumericalError, ValidationError
+from .linalg import norms_of_hermitian_stack
 from .model import SystemParams, derive, matched_reservoir
 from .sweep import (ENGINES, SweepSpec, engine_row, engines_of, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
@@ -58,17 +58,17 @@ def parse_config(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ValidationError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in allowed:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} "
-                              f"(accepted: {', '.join(sorted(allowed))})")
+            raise ValidationError(f"line {lineno}: unknown key {key!r} "
+                                  f"(accepted: {', '.join(sorted(allowed))})")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
+            raise ValidationError(f"line {lineno}: empty value for {key!r}")
         out[key] = value
     return out
 
@@ -77,7 +77,7 @@ def _convert(key: str, text: str, convert: Callable[[str], object]) -> object:
     try:
         return convert(text)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
+        raise ValidationError(f"bad value for {key}: {text!r} ({exc})") from None
 
 
 def build_params(settings: dict[str, str]) -> SystemParams:
@@ -88,7 +88,7 @@ def build_params(settings: dict[str, str]) -> SystemParams:
 
 def build_sweep_spec(settings: dict[str, str]) -> SweepSpec:
     if "variable" not in settings or "range" not in settings:
-        raise ConfigError("a sweep needs both 'variable' and 'range'")
+        raise ValidationError("a sweep needs both 'variable' and 'range'")
     kwargs = {key: _convert(key, settings[key], convert)
               for key, convert in SWEEP_KEYS.items() if key in settings}
     return SweepSpec(base=build_params(settings), **kwargs)
@@ -118,7 +118,7 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
     try:
         handle = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+        raise ValidationError(f"cannot write output {path!r}: {exc}") from None
     with handle:
         yield handle
 
@@ -147,7 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+            raise ValidationError(f"cannot read config {args.config!r}: {exc}") from None
         settings.update(parse_config(text))
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
@@ -167,10 +167,9 @@ def run_checks(seed: int) -> list[tuple[str, bool, str]]:
         dim = int(rng.integers(2, 7))
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = m + m.conj().T
-        norms = norms_of_hermitian(m)
+        (op,), (tr,), (hs,) = norms_of_hermitian_stack(m[None])
         # op <= hs <= tr and tr <= sqrt(dim) * hs for any Hermitian matrix
-        gap = max(norms.op - norms.hs, norms.hs - norms.tr,
-                  norms.tr - math.sqrt(dim) * norms.hs)
+        gap = max(op - hs, hs - tr, tr - math.sqrt(dim) * hs)
         worst = max(worst, gap)
         ok = ok and gap <= 1e-12
     results.append(("norm-ordering", ok, f"worst violation {worst:.3g}"))

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CutoffNotConverged, DimensionMismatch, EmptyTrajectory,
-                     PositivityViolated, StepTooLarge, ValidationError,
-                     WrongInitialState)
-from .linalg import eigvalsh, partial_trace_cavity_stack
+from .errors import CutoffNotConverged, PositivityViolated, ValidationError
+from .linalg import eigvalsh, norms_of_hermitian_stack, partial_trace_cavity_stack
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
                     default_cutoff, derive)
 
@@ -82,7 +80,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if len(self.times) < 2:
-            raise EmptyTrajectory(f"need >= 2 grid points, got {len(self.times)}")
+            raise ValidationError(f"need >= 2 grid points, got {len(self.times)}")
 
 
 def _rate_combinations(d: DerivedParams, params: SystemParams) -> tuple[complex, complex, complex]:
@@ -111,7 +109,7 @@ def _amplitudes(params: SystemParams, times: np.ndarray) -> tuple[np.ndarray, np
 
 def _require_excited_start(params: SystemParams) -> None:
     if params.alpha != 0.0:
-        raise WrongInitialState(
+        raise ValidationError(
             f"closed form requires alpha = 0 (excited start), got alpha = {params.alpha}")
 
 
@@ -151,7 +149,7 @@ def _oracle_trajectory(params: SystemParams, t: float, step: float) -> tuple[np.
         raise ValidationError(f"step must be > 0, got {step}")
     limit = _oracle_step_limit(params)
     if step > limit:
-        raise StepTooLarge(f"step {step} exceeds accuracy bound {limit:.3e}")
+        raise ValidationError(f"step {step} exceeds accuracy bound {limit:.3e}")
     d = derive(params)
     coupling = -1j * np.array(
         [[params.delta_a - 0.5j * params.gamma, d.g_s],
@@ -177,17 +175,6 @@ def ode_oracle_coeffs(params: SystemParams, t: float,
     d = derive(params)
     diff, total, root = _rate_combinations(d, params)
     return AnalyticCoeffs(complex(amps[-1, 0]), complex(amps[-1, 1]), diff, total, root)
-
-
-def analytic_atom_state(params: SystemParams, t: float) -> np.ndarray:
-    """Reduced atom matrix on the analytic path: diag(|excited|^2, |photon|^2).
-
-    The ground amplitude is identically zero here, so the off-diagonal terms
-    vanish and the trace falls short of one by exactly the population the
-    jumps would move to |g,0>; the matrix is used as-is, deficit included.
-    """
-    c = analytic_coeffs(params, t)
-    return np.diag([abs(c.excited_amp) ** 2, abs(c.photon_amp) ** 2]).astype(complex)
 
 
 def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Trajectory:
@@ -232,43 +219,14 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     )
 
 
-def liouvillian(ops: ModelOperators, derived: DerivedParams, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the squeezed-picture master equation.
-
-    rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
-    - m_s Dp(L_cav†) - m_s* Dp(L_cav) } rho, with D(o)r = o†or - 2oro† + ro†o
-    and Dp(o)r = oor - 2oro + roo. With n_s = m_s = 0 only the two plain
-    dissipators survive. Output is Hermitian with zero trace.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    h = ops.hamiltonian
-    if rho.shape != h.shape:
-        raise DimensionMismatch(f"rho shape {rho.shape} does not match operators {h.shape}")
-
-    def plain(o: np.ndarray) -> np.ndarray:
-        od = o.conj().T
-        odo = od @ o
-        return odo @ rho - 2.0 * (o @ rho @ od) + rho @ odo
-
-    def twophoton(o: np.ndarray) -> np.ndarray:
-        oo = o @ o
-        return oo @ rho - 2.0 * (o @ rho @ o) + rho @ oo
-
-    cav = ops.lindblad_cavity
-    cav_dag = cav.conj().T
-    out = 1j * (rho @ h - h @ rho)
-    out -= 0.5 * (plain(ops.lindblad_atom)
-                  + (derived.n_s + 1.0) * plain(cav)
-                  + derived.n_s * plain(cav_dag)
-                  - derived.m_s * twophoton(cav_dag)
-                  - np.conj(derived.m_s) * twophoton(cav))
-    return out
-
-
 def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np.ndarray:
     """Matrix acting on row-major vectorized states: vec(rho_dot) = L vec(rho).
 
-    Same map as liouvillian(), written through the effective non-Hermitian
+    The squeezed-picture master equation is
+    rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
+    - m_s Dp(L_cav†) - m_s* Dp(L_cav) } rho, with D(o)r = o†or - 2oro† + ro†o
+    and Dp(o)r = oor - 2oro + roo; with n_s = m_s = 0 only the two plain
+    dissipators survive. L is written through the effective non-Hermitian
     Hamiltonian H_eff = H - (i/2) sum_k c_k B_k A_k of the jump terms
     c_k A_k rho B_k: rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k.
     The plain dissipators jump with (A, B) = (o, o†), the two-photon terms
@@ -382,12 +340,6 @@ def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
     return atom.reshape(-1, 4).T
 
 
-def _trace_distance_2x2(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    w = eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.abs(w).sum())
-
-
 def evolve_master(params: SystemParams, cutoff: int | None = None,
                   steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step RK4 integration of the master equation over [0, tau].
@@ -430,7 +382,8 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     generator, start, idx = _reachable_block(params, cutoff + 2)
     end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
     refined = (_trace_map(idx, fock_dim + 2) @ end).reshape(2, 2)
-    conv_dist = _trace_distance_2x2(rho_atom[-1], refined)
+    _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
+    conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
         raise CutoffNotConverged(
             f"cutoff {cutoff} vs {cutoff + 2}: endpoint trace distance "

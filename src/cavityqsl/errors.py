@@ -2,7 +2,8 @@
 
 Two families: ValidationError for bad inputs or configuration, and
 NumericalError for computations that ran but failed a quality gate.
-The CLI maps them to exit codes 1 and 2 respectively.
+The CLI maps them to exit codes 1 and 2 respectively. A sweep row that
+fails records the class name in its flag as error:<ClassName>.
 """
 
 from __future__ import annotations
@@ -16,28 +17,8 @@ class NumericalError(RuntimeError):
     """A numerical routine failed a convergence or physicality gate."""
 
 
-class DimensionMismatch(ValidationError):
-    """Matrix shape does not match the declared tensor structure."""
-
-
-class NotHermitian(NumericalError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NoConvergence(NumericalError):
     """Eigensolver failed to converge."""
-
-
-class SqueezeUnstable(ValidationError):
-    """|drive amplitude| >= |cavity detuning|: squeezing transform undefined."""
-
-
-class WrongInitialState(ValidationError):
-    """Closed-form path requires the atom to start in the excited state."""
-
-
-class StepTooLarge(ValidationError):
-    """Integrator step exceeds the accuracy bound for these parameters."""
 
 
 class CutoffNotConverged(NumericalError):
@@ -50,11 +31,3 @@ class PositivityViolated(NumericalError):
 
 class NotPure(NumericalError):
     """Reference state failed the purity check."""
-
-
-class EmptyTrajectory(ValidationError):
-    """Trajectory has fewer than two grid points."""
-
-
-class ConfigError(ValidationError):
-    """Malformed configuration file or unknown key."""

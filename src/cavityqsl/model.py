@@ -14,13 +14,15 @@ units of 1/g.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy import kron
 
-from .errors import SqueezeUnstable, ValidationError
-from .linalg import dagger, hermitian_eig, kron
+from .errors import ValidationError
+from .linalg import dagger, eigvalsh
 
 # Fock cutoff heuristics: with a quiet effective reservoir the dynamics stays
 # in the <=1 excitation sector, so cutoff 2 keeps one spare level to detect
@@ -89,7 +91,7 @@ def squeeze_params(omega_p_amplitude: float, delta_c: float) -> float:
     threshold, |omega_p| < |delta_c|.
     """
     if delta_c == 0.0 or abs(omega_p_amplitude) >= abs(delta_c):
-        raise SqueezeUnstable(
+        raise ValidationError(
             f"|omega_p| = {abs(omega_p_amplitude)} must be < |delta_c| = {abs(delta_c)}")
     return 0.5 * math.atanh(omega_p_amplitude / delta_c)
 
@@ -103,24 +105,26 @@ def derive(params: SystemParams) -> DerivedParams:
     """Evaluate the squeezed-picture parameters, including reservoir noise.
 
     n_s and m_s follow the exact hyperbolic expressions for a squeezed
-    reservoir seen through the drive transform; both vanish identically
-    when r_e = r_p and theta_e + theta_p = pi.
+    reservoir seen through the drive transform, written in the mismatches
+    dr = r_e - r_p and psi = (theta_e + theta_p) - pi:
+    n_s = sinh^2(dr) + sinh(2 r_e) sinh(2 r_p) sin^2(psi/2) and
+    m_s = e^{-i theta_p} [sinh(2 dr) - 2 sinh(2 r_e) cosh(2 r_p) sin^2(psi/2)
+    + i sinh(2 r_e) sin(psi)] / 2. Every term carries a factor that is
+    exactly zero at the matched reservoir, so both come out as exact zeros
+    there instead of round-off.
     """
     beta = beta_of(params.r_p)
     g_s = params.g * math.cosh(params.r_p)
     delta_s = params.delta_c * math.sqrt(1.0 - beta * beta)
-    phase_sum = params.theta_e + params.theta_p
-    n_s = (math.sinh(params.r_e) ** 2 * math.cosh(2.0 * params.r_p)
-           + math.sinh(params.r_p) ** 2
-           + 0.5 * math.sinh(2.0 * params.r_p) * math.sinh(2.0 * params.r_e)
-           * math.cos(phase_sum))
-    m_s = -np.exp(-1j * params.theta_p) * (
-        0.5 * math.sinh(2.0 * params.r_p) * math.cosh(2.0 * params.r_e)
-        + 0.5 * math.sinh(2.0 * params.r_e)
-        * (np.exp(1j * phase_sum) * math.cosh(params.r_p) ** 2
-           + np.exp(-1j * phase_sum) * math.sinh(params.r_p) ** 2))
-    return DerivedParams(beta=beta, g_s=g_s, delta_s=delta_s,
-                         n_s=float(n_s), m_s=complex(m_s))
+    dr = params.r_e - params.r_p
+    psi = (params.theta_e + params.theta_p) - math.pi
+    sinh_2re = math.sinh(2.0 * params.r_e)
+    half_psi_sq = math.sin(0.5 * psi) ** 2
+    n_s = math.sinh(dr) ** 2 + sinh_2re * math.sinh(2.0 * params.r_p) * half_psi_sq
+    m_s = 0.5 * cmath.exp(-1j * params.theta_p) * complex(
+        math.sinh(2.0 * dr) - 2.0 * sinh_2re * math.cosh(2.0 * params.r_p) * half_psi_sq,
+        sinh_2re * math.sin(psi))
+    return DerivedParams(beta=beta, g_s=g_s, delta_s=delta_s, n_s=n_s, m_s=m_s)
 
 
 def matched_reservoir(params: SystemParams) -> SystemParams:
@@ -179,9 +183,9 @@ def bosonic_quadratic_spectrum(delta_c: float, omega_p: float, cutoff: int) -> n
     artifact and should be excluded from comparisons.
     """
     if abs(omega_p) >= abs(delta_c):
-        raise SqueezeUnstable(
+        raise ValidationError(
             f"|omega_p| = {abs(omega_p)} must be < |delta_c| = {abs(delta_c)}")
     fock_dim = cutoff + 1
     a = annihilation(fock_dim)
     h = delta_c * (dagger(a) @ a) + 0.5 * omega_p * (a @ a + dagger(a) @ dagger(a))
-    return hermitian_eig(h).eigenvalues
+    return eigvalsh(h)

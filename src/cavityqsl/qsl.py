@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import EmptyTrajectory, NotPure, NumericalError
+from .errors import NotPure, NumericalError, ValidationError
 from .linalg import norms_of_hermitian_stack
 
 PURITY_TOL = 1e-9
@@ -62,7 +62,7 @@ def bures_angle(rho0_pure: np.ndarray, rho_t: np.ndarray) -> float:
 def lambda_averages(traj: Trajectory) -> tuple[float, float, float]:
     """Trapezoidal time averages of the three norms of the state derivative."""
     if len(traj.times) < 2:
-        raise EmptyTrajectory(f"need >= 2 grid points, got {len(traj.times)}")
+        raise ValidationError(f"need >= 2 grid points, got {len(traj.times)}")
     op, tr, hs = norms_of_hermitian_stack(traj.rho_atom_dot)
     span = float(traj.times[-1] - traj.times[0])
     return tuple(float(np.trapezoid(series, traj.times) / span) for series in (op, tr, hs))

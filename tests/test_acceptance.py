@@ -250,9 +250,9 @@ def test_criterion_7_matched_reservoir_cancellation():
             ops, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
                                n_s=0.0, m_s=0j))
         worst_gen = max(worst_gen, float(np.abs(full - plain).max()))
-    ok = worst <= 1e-12 and worst_gen <= 1e-12
+    ok = worst == 0.0 and worst_gen == 0.0
     _verdict(7, ok, f"noise residual {worst:.3e}, generator residual "
-                    f"{worst_gen:.3e} over 100 draws (limits 1e-12)")
+                    f"{worst_gen:.3e} over 100 draws (required exactly 0)")
 
 
 def test_criterion_8_squeezed_mode_spectrum():

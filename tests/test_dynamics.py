@@ -6,12 +6,11 @@ import pytest
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, _oracle_trajectory,
                                 _reachable_block, _rk4_step_matrix, _trace_map,
-                                analytic_atom_state, analytic_coeffs,
-                                analytic_trajectory, evolve_master,
-                                initial_state, liouvillian,
+                                analytic_coeffs, analytic_trajectory,
+                                evolve_master, initial_state,
                                 liouvillian_superoperator, ode_oracle_coeffs)
 from cavityqsl.errors import (CutoffNotConverged, PositivityViolated,
-                              StepTooLarge, ValidationError, WrongInitialState)
+                              ValidationError)
 from cavityqsl.linalg import partial_trace_cavity_stack
 from cavityqsl.model import DerivedParams, SystemParams, build_operators, derive
 
@@ -22,7 +21,7 @@ BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
 # decay_diff^2 = 16 g_s^2 exactly, driving the splitting root to zero
 DEGENERATE = SystemParams(g=0.01, delta_a=1.0, delta_c=1.0, gamma=0.05, kappa=0.01)
 
-# a quiet point started in (|e> + |g>)/sqrt(2): its block is the full space
+# a quiet point started in (|e> + |g>)/sqrt(2): its block is 9 of 36 entries
 TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
                       kappa=1e-3, r_e=0.1, theta_e=math.pi, alpha=math.pi / 4)
 
@@ -63,6 +62,36 @@ def sequential_rk4_oracle(params, t, n):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         amps[i] = y
     return amps
+
+
+def liouvillian(ops, derived, rho):
+    """Direct action of the squeezed-picture master equation on rho.
+
+    rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
+    - m_s Dp(L_cav†) - m_s* Dp(L_cav) } rho, with D(o)r = o†or - 2oro† + ro†o
+    and Dp(o)r = oor - 2oro + roo; the reference for liouvillian_superoperator.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    h = ops.hamiltonian
+
+    def plain(o):
+        od = o.conj().T
+        odo = od @ o
+        return odo @ rho - 2.0 * (o @ rho @ od) + rho @ odo
+
+    def twophoton(o):
+        oo = o @ o
+        return oo @ rho - 2.0 * (o @ rho @ o) + rho @ oo
+
+    cav = ops.lindblad_cavity
+    cav_dag = cav.conj().T
+    out = 1j * (rho @ h - h @ rho)
+    out -= 0.5 * (plain(ops.lindblad_atom)
+                  + (derived.n_s + 1.0) * plain(cav)
+                  + derived.n_s * plain(cav_dag)
+                  - derived.m_s * twophoton(cav_dag)
+                  - np.conj(derived.m_s) * twophoton(cav))
+    return out
 
 
 def sequential_master_reference(params, cutoff, steps):
@@ -182,7 +211,7 @@ def test_amplitude_norm_decay_law():
 
 
 def test_oracle_step_guard():
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ValidationError, match="exceeds accuracy bound"):
         ode_oracle_coeffs(BASE, 1.0, step=0.1)
     with pytest.raises(ValidationError):
         ode_oracle_coeffs(BASE, 1.0, step=0.0)
@@ -190,11 +219,11 @@ def test_oracle_step_guard():
 
 def test_closed_form_rejects_superposition_start():
     tilted = SystemParams(g=1.0, alpha=0.3)
-    with pytest.raises(WrongInitialState):
+    with pytest.raises(ValidationError, match="excited start"):
         analytic_coeffs(tilted, 0.5)
-    with pytest.raises(WrongInitialState):
+    with pytest.raises(ValidationError, match="excited start"):
         analytic_trajectory(tilted)
-    with pytest.raises(WrongInitialState):
+    with pytest.raises(ValidationError, match="excited start"):
         ode_oracle_coeffs(tilted, 0.5)
 
 
@@ -216,7 +245,8 @@ def test_analytic_trajectory_structure():
     assert traj.times[0] == 0.0 and traj.times[-1] == BASE.tau
     assert traj.rho_full is None
     assert traj.rho_atom.shape == (401, 2, 2)
-    state = analytic_atom_state(BASE, float(traj.times[57]))
+    c = analytic_coeffs(BASE, float(traj.times[57]))
+    state = np.diag([abs(c.excited_amp) ** 2, abs(c.photon_amp) ** 2])
     assert np.abs(traj.rho_atom[57] - state).max() <= 1e-12
     # trace deficit equals the decayed population, bounded by the decay rates
     assert 0.0 < traj.trace_err <= (BASE.gamma + BASE.kappa) * BASE.tau
@@ -350,7 +380,7 @@ def test_hot_reservoir_needs_headroom():
 
 
 @pytest.mark.parametrize("params, cutoff, size", [
-    (BASE, 2, 18), (TILTED, 2, 36), (NOISY, 10, 242), (NOISY, 12, 338)])
+    (BASE, 2, 5), (TILTED, 2, 9), (NOISY, 10, 242), (NOISY, 12, 338)])
 def test_reachable_block_is_closed(params, cutoff, size):
     full = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     generator, start, idx = _reachable_block(params, cutoff)

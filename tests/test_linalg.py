@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.errors import DimensionMismatch, NotHermitian
-from cavityqsl.linalg import (HERMITICITY_TOL, dagger, hermitian_eig,
-                              hermitianize, kron, norms_of_hermitian,
-                              norms_of_hermitian_stack, partial_trace_cavity,
+from cavityqsl.errors import ValidationError
+from cavityqsl.linalg import (dagger, eigvalsh, norms_of_hermitian_stack,
                               partial_trace_cavity_stack)
 
 
@@ -17,23 +15,14 @@ def _random_hermitian(rng, dim):
     return m + m.conj().T
 
 
-def test_kron_basis_placement():
-    # (A kron B)[i*q+k, j*q+l] = A[i,j] B[k,l], checked entry by entry
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[5, 6], [7, 8]], dtype=complex)
-    out = kron(a, b)
-    assert out.shape == (4, 4)
+def _index_sum_trace(m, fock):
+    """Independent contraction: atom[i, j] = sum_n m[i*fock+n, j*fock+n]."""
+    byhand = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
-            for k in range(2):
-                for lc in range(2):
-                    assert out[i * 2 + k, j * 2 + lc] == a[i, j] * b[k, lc]
-
-
-def test_kron_rectangular():
-    a = np.ones((1, 3), dtype=complex)
-    b = np.eye(2, dtype=complex)
-    assert kron(a, b).shape == (2, 6)
+            for n in range(fock):
+                byhand[i, j] += m[i * fock + n, j * fock + n]
+    return byhand
 
 
 def test_dagger():
@@ -43,66 +32,26 @@ def test_dagger():
     assert np.array_equal(dagger(d), m)
 
 
-def test_hermitianize_passes_hermitian_input():
-    rng = np.random.default_rng(0)
-    m = _random_hermitian(rng, 4)
-    out = hermitianize(m)
-    assert np.allclose(out, m, atol=0, rtol=0)
-    assert np.array_equal(out, dagger(out))
-
-
-def test_hermitianize_symmetrizes_roundoff():
-    m = np.array([[1.0, 1e-12 + 1e-12j], [0.0, 2.0]], dtype=complex)
-    out = hermitianize(m)
-    assert out[0, 1] == np.conj(out[1, 0])
-
-
-def test_hermitianize_rejects_large_violation():
-    m = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-    with pytest.raises(NotHermitian):
-        hermitianize(m)
-
-
-def test_hermitianize_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        hermitianize(np.ones((2, 3), dtype=complex))
-
-
 def test_hermitian_eig_two_by_two_closed_form():
     # eigenvalues of [[a, c], [conj(c), b]] from the quadratic formula
     a, b, c = 1.0, 3.0, 0.5 - 0.25j
     m = np.array([[a, c], [np.conj(c), b]])
     mean = 0.5 * (a + b)
     half = math.sqrt((0.5 * (a - b)) ** 2 + abs(c) ** 2)
-    eig = hermitian_eig(m)
-    assert eig.eigenvalues == pytest.approx([mean - half, mean + half], abs=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10_000))
-def test_hermitian_eig_reconstructs(dim, seed):
-    rng = np.random.default_rng(seed)
-    m = _random_hermitian(rng, dim)
-    eig = hermitian_eig(m)
-    v = eig.eigenvectors
-    scale = max(1.0, np.abs(m).max())
-    assert np.abs(v @ np.diag(eig.eigenvalues) @ dagger(v) - m).max() <= 1e-10 * scale
-    assert np.abs(dagger(v) @ v - np.eye(dim)).max() <= 1e-10
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    assert eigvalsh(m) == pytest.approx([mean - half, mean + half], abs=1e-12)
 
 
 def test_norms_three_four_five():
     # diag(3, -4): op 4, trace 7, hs 5
-    m = np.diag([3.0, -4.0]).astype(complex)
-    norms = norms_of_hermitian(m)
-    assert norms.op == pytest.approx(4.0, abs=1e-14)
-    assert norms.tr == pytest.approx(7.0, abs=1e-14)
-    assert norms.hs == pytest.approx(5.0, abs=1e-14)
+    op, tr, hs = norms_of_hermitian_stack(np.diag([3.0, -4.0])[None])
+    assert op[0] == pytest.approx(4.0, abs=1e-14)
+    assert tr[0] == pytest.approx(7.0, abs=1e-14)
+    assert hs[0] == pytest.approx(5.0, abs=1e-14)
 
 
 def test_norms_zero_matrix():
-    norms = norms_of_hermitian(np.zeros((3, 3), dtype=complex))
-    assert norms.op == norms.tr == norms.hs == 0.0
+    op, tr, hs = norms_of_hermitian_stack(np.zeros((1, 3, 3), dtype=complex))
+    assert op[0] == tr[0] == hs[0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,27 +59,37 @@ def test_norms_zero_matrix():
 def test_norm_ordering_and_unitary_invariance(dim, seed):
     rng = np.random.default_rng(seed)
     m = _random_hermitian(rng, dim)
-    norms = norms_of_hermitian(m)
-    assert norms.op <= norms.hs + 1e-12
-    assert norms.hs <= norms.tr + 1e-12
-    assert norms.tr <= math.sqrt(dim) * norms.hs + 1e-12
     # conjugation by the eigenbasis of another Hermitian matrix
-    basis = hermitian_eig(_random_hermitian(rng, dim)).eigenvectors
-    rotated = norms_of_hermitian(basis @ m @ dagger(basis))
-    assert rotated.op == pytest.approx(norms.op, rel=1e-10)
-    assert rotated.tr == pytest.approx(norms.tr, rel=1e-10)
-    assert rotated.hs == pytest.approx(norms.hs, rel=1e-10)
+    basis = np.linalg.eigh(_random_hermitian(rng, dim))[1]
+    (op, rot_op), (tr, rot_tr), (hs, rot_hs) = norms_of_hermitian_stack(
+        np.array([m, basis @ m @ dagger(basis)]))
+    assert op <= hs + 1e-12
+    assert hs <= tr + 1e-12
+    assert tr <= math.sqrt(dim) * hs + 1e-12
+    assert rot_op == pytest.approx(op, rel=1e-10)
+    assert rot_tr == pytest.approx(tr, rel=1e-10)
+    assert rot_hs == pytest.approx(hs, rel=1e-10)
 
 
 def test_norm_stack_matches_loop():
+    # slice by slice against numpy's spectral, nuclear and Frobenius norms
     rng = np.random.default_rng(3)
-    stack = np.array([_random_hermitian(rng, 2) for _ in range(7)])
-    op, tr, hs = norms_of_hermitian_stack(stack)
-    for k in range(7):
-        one = norms_of_hermitian(stack[k])
-        assert op[k] == pytest.approx(one.op, rel=1e-12)
-        assert tr[k] == pytest.approx(one.tr, rel=1e-12)
-        assert hs[k] == pytest.approx(one.hs, rel=1e-12)
+    for dim in (2, 5):
+        stack = np.array([_random_hermitian(rng, dim) for _ in range(7)])
+        op, tr, hs = norms_of_hermitian_stack(stack)
+        for k in range(7):
+            assert op[k] == pytest.approx(np.linalg.norm(stack[k], 2), rel=1e-12)
+            assert tr[k] == pytest.approx(np.linalg.norm(stack[k], "nuc"), rel=1e-12)
+            assert hs[k] == pytest.approx(np.linalg.norm(stack[k], "fro"), rel=1e-12)
+
+
+def test_norm_stack_symmetrizes_each_slice():
+    # a slice off Hermitian by round-off gets the norms of its Hermitian part
+    m = np.array([[1.0, 1e-12 + 1e-12j], [0.0, 2.0]], dtype=complex)
+    sym = 0.5 * (m + dagger(m))
+    got = norms_of_hermitian_stack(m[None])
+    want = norms_of_hermitian_stack(sym[None])
+    assert [g[0] for g in got] == [w[0] for w in want]
 
 
 def test_partial_trace_single_excitation_form():
@@ -141,7 +100,7 @@ def test_partial_trace_single_excitation_form():
     psi[0] = amp_e
     psi[fock + 1] = amp_p
     rho = np.outer(psi, psi.conj())
-    atom = partial_trace_cavity(rho, 2, fock)
+    atom = partial_trace_cavity_stack(rho[None], 2, fock)[0]
     expected = np.diag([abs(amp_e) ** 2, abs(amp_p) ** 2])
     assert np.abs(atom - expected).max() <= 1e-15
 
@@ -150,20 +109,14 @@ def test_partial_trace_matches_index_sum():
     rng = np.random.default_rng(11)
     fock = 4
     m = _random_hermitian(rng, 2 * fock)
-    atom = partial_trace_cavity(m, 2, fock)
-    # independent contraction: atom[i, j] = sum_n full[i*fock+n, j*fock+n]
-    byhand = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for n in range(fock):
-                byhand[i, j] += m[i * fock + n, j * fock + n]
-    assert np.abs(atom - byhand).max() <= 1e-13
+    atom = partial_trace_cavity_stack(m[None], 2, fock)[0]
+    assert np.abs(atom - _index_sum_trace(m, fock)).max() <= 1e-13
     assert np.trace(atom) == pytest.approx(np.trace(m), rel=1e-13)
 
 
 def test_partial_trace_rejects_wrong_dims():
-    with pytest.raises(DimensionMismatch):
-        partial_trace_cavity(np.eye(7, dtype=complex), 2, 3)
+    with pytest.raises(ValidationError, match="does not factor"):
+        partial_trace_cavity_stack(np.eye(7, dtype=complex)[None], 2, 3)
 
 
 def test_partial_trace_stack_matches_loop():
@@ -172,8 +125,4 @@ def test_partial_trace_stack_matches_loop():
     stack = np.array([_random_hermitian(rng, 2 * fock) for _ in range(4)])
     out = partial_trace_cavity_stack(stack, 2, fock)
     for k in range(4):
-        assert np.abs(out[k] - partial_trace_cavity(stack[k], 2, fock)).max() <= 1e-13
-
-
-def test_hermiticity_tolerance_constant():
-    assert HERMITICITY_TOL == 1e-10
+        assert np.abs(out[k] - _index_sum_trace(stack[k], fock)).max() <= 1e-13

@@ -5,17 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.errors import SqueezeUnstable, ValidationError
+from cavityqsl.errors import ValidationError
 from cavityqsl.model import (NOISY_CUTOFF, QUIET_CUTOFF, SystemParams,
                              annihilation, beta_of, bosonic_quadratic_spectrum,
                              build_operators, default_cutoff, derive,
-                             squeeze_params)
-
-
-def matched(r_p, theta_p=0.0, **kw):
-    """Reservoir squeezing matched to the drive, nulling the noise."""
-    return SystemParams(r_p=r_p, theta_p=theta_p, r_e=r_p,
-                        theta_e=math.pi - theta_p, **kw)
+                             matched_reservoir, squeeze_params)
 
 
 def test_params_defaults_are_valid():
@@ -48,7 +42,7 @@ def test_squeeze_params_round_trip():
 
 @pytest.mark.parametrize("omega,delta", [(2.0, 2.0), (3.0, 2.0), (1.0, 0.0)])
 def test_squeeze_params_threshold(omega, delta):
-    with pytest.raises(SqueezeUnstable):
+    with pytest.raises(ValidationError, match=r"must be < \|delta_c\|"):
         squeeze_params(omega, delta)
 
 
@@ -78,15 +72,44 @@ def test_derive_noise_no_drive_squeezing():
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.5),
-       st.floats(min_value=0.0, max_value=2.0 * math.pi))
+       st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
 def test_matched_reservoir_cancels_noise(r_p, theta_p):
-    d = derive(matched(r_p, theta_p))
-    assert abs(d.n_s) <= 1e-12
-    assert abs(d.m_s) <= 1e-12
+    # exact zeros, not round-off: the quiet reachable block depends on them
+    d = derive(matched_reservoir(SystemParams(r_p=r_p, theta_p=theta_p)))
+    assert d.n_s == 0.0
+    assert d.m_s == 0j
+
+
+def direct_noise(p):
+    """n_s and m_s as the direct hyperbolic sums, before the mismatch form."""
+    phase_sum = p.theta_e + p.theta_p
+    n_s = (math.sinh(p.r_e) ** 2 * math.cosh(2.0 * p.r_p)
+           + math.sinh(p.r_p) ** 2
+           + 0.5 * math.sinh(2.0 * p.r_p) * math.sinh(2.0 * p.r_e) * math.cos(phase_sum))
+    m_s = -np.exp(-1j * p.theta_p) * (
+        0.5 * math.sinh(2.0 * p.r_p) * math.cosh(2.0 * p.r_e)
+        + 0.5 * math.sinh(2.0 * p.r_e)
+        * (np.exp(1j * phase_sum) * math.cosh(p.r_p) ** 2
+           + np.exp(-1j * phase_sum) * math.sinh(p.r_p) ** 2))
+    return n_s, complex(m_s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.5), st.floats(min_value=0.0, max_value=1.5),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi))
+def test_derive_noise_matches_direct_sums(r_p, r_e, theta_p, theta_e):
+    p = SystemParams(r_p=r_p, r_e=r_e, theta_p=theta_p, theta_e=theta_e)
+    d = derive(p)
+    n_s, m_s = direct_noise(p)
+    # relative to the size of the terms the direct sums cancel
+    scale = math.cosh(2.0 * r_e) * math.cosh(2.0 * r_p)
+    assert abs(d.n_s - n_s) <= 1e-12 * scale
+    assert abs(d.m_s - m_s) <= 1e-12 * scale
 
 
 def test_default_cutoff_quiet_vs_noisy():
-    assert default_cutoff(derive(matched(0.8))) == QUIET_CUTOFF
+    assert default_cutoff(derive(matched_reservoir(SystemParams(r_p=0.8)))) == QUIET_CUTOFF
     assert default_cutoff(derive(SystemParams(r_p=0.8))) == NOISY_CUTOFF
 
 
@@ -152,5 +175,5 @@ def test_quadratic_spectrum_is_harmonic():
 
 
 def test_quadratic_spectrum_above_threshold():
-    with pytest.raises(SqueezeUnstable):
+    with pytest.raises(ValidationError, match=r"must be < \|delta_c\|"):
         bosonic_quadratic_spectrum(1.0, 1.0, cutoff=20)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavityqsl.dynamics import Trajectory, analytic_trajectory, evolve_master
-from cavityqsl.errors import EmptyTrajectory, NotPure, NumericalError
+from cavityqsl.errors import NotPure, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive
 from cavityqsl.qsl import (FROZEN_RATE, bures_angle, lambda_averages, qsl_time)
 
@@ -96,7 +96,7 @@ def test_qsl_time_frozen_flow():
 
 
 def test_trajectory_needs_two_points():
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(ValidationError, match="need >= 2 grid points"):
         synthetic([P_EXCITED], [np.zeros((2, 2), dtype=complex)])
 
 

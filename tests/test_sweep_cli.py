@@ -7,7 +7,7 @@ import cavityqsl.errors
 from cavityqsl import cli
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
-from cavityqsl.errors import ConfigError, NumericalError, ValidationError
+from cavityqsl.errors import NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive
 from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec,
                              format_row, grid_values, point_params, run_sweep,
@@ -218,33 +218,36 @@ def test_parse_config_round_trip():
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="detuning"):
+    with pytest.raises(ValidationError, match="unknown key 'detuning'"):
         parse_config("detuning = 3\n")
 
 
-@pytest.mark.parametrize("text", [
-    "variable delta_a\n",
-    "g = \n",
-    "g = 1\ng = 2\n",
-])
+MALFORMED = {
+    "variable delta_a\n": "expected key = value",
+    "g = \n": "empty value for 'g'",
+    "g = 1\ng = 2\n": "duplicate key 'g'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_config_rejects_malformed_lines(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=MALFORMED[text]):
         parse_config(text)
 
 
 def test_build_sweep_spec_needs_variable_and_range():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="needs both 'variable' and 'range'"):
         build_sweep_spec({"variable": "delta_a"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="needs both 'variable' and 'range'"):
         build_sweep_spec({"range": "0, 1, 5"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="bad value for range"):
         build_sweep_spec({"variable": "delta_a", "range": "0, 1"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="bad value for range"):
         build_sweep_spec({"variable": "delta_a", "range": "0, 1, x"})
 
 
 def test_build_params_type_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="bad value for g"):
         build_params({"g": "fast"})
 
 
