@@ -59,13 +59,15 @@ class AnalyticCoeffs:
 class Trajectory:
     """Time grid with states and reduced-state derivatives.
 
-    rho_full is None on the analytic path (the closed form never builds the
-    joint density matrix). traces and min_eigs are per-step diagnostics;
-    herm_err and conv_dist summarize the whole run.
+    On the master path states holds vec(rho)[support] at every grid point:
+    the entries of the row-major vectorized joint density matrix that the
+    initial state reaches, all others being exactly zero. Both are None on
+    the analytic path (the closed form never builds the joint density
+    matrix). traces and min_eigs are per-step diagnostics; herm_err and
+    conv_dist summarize the whole run.
     """
 
     times: np.ndarray
-    rho_full: np.ndarray | None
     rho_atom: np.ndarray
     rho_atom_dot: np.ndarray
     fock_cutoff: int
@@ -73,10 +75,24 @@ class Trajectory:
     min_eigs: np.ndarray
     herm_err: float
     conv_dist: float
+    states: np.ndarray | None = None
+    support: np.ndarray | None = None
 
     @property
     def trace_err(self) -> float:
         return float(np.abs(self.traces - 1.0).max())
+
+    @property
+    def rho_full(self) -> np.ndarray | None:
+        """The (n, 2F, 2F) joint density matrices, F = fock_cutoff + 1, built
+        on each access by scattering states into zeros; None on the analytic path."""
+        if self.states is None:
+            return None
+        n = len(self.times)
+        dim = 2 * (self.fock_cutoff + 1)
+        full = np.zeros((n, dim * dim), dtype=complex)
+        full[:, self.support] = self.states
+        return full.reshape(n, dim, dim)
 
     def __post_init__(self) -> None:
         if len(self.times) < 2:
@@ -208,7 +224,6 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     rho_dot[:, 1, 1] = rate_p
     return Trajectory(
         times=times,
-        rho_full=None,
         rho_atom=rho_atom,
         rho_atom_dot=rho_dot,
         fock_cutoff=1,
@@ -231,10 +246,12 @@ def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np
     c_k A_k rho B_k: rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k.
     The plain dissipators jump with (A, B) = (o, o†), the two-photon terms
     with (o, o). For row-major vec, vec(A X B) = (A kron B^T) vec(X), so L
-    takes one kron per jump term and two for H_eff. Built once per
-    trajectory so that time stepping reduces to matrix products.
+    takes one kron per jump term and two for H_eff, each added through
+    _add_kron so that only products of nonzero factor entries are formed.
+    Built once per trajectory so that time stepping reduces to matrix products.
     """
-    eye = np.eye(ops.hamiltonian.shape[0], dtype=complex)
+    dim = ops.hamiltonian.shape[0]
+    eye = np.eye(dim, dtype=complex)
     atom = ops.lindblad_atom
     cav = ops.lindblad_cavity
     cav_dag = cav.conj().T
@@ -244,10 +261,28 @@ def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np
              (-derived.m_s, cav_dag, cav_dag),
              (-np.conj(derived.m_s), cav, cav))
     h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
-    super_op = np.kron(-1j * h_eff, eye) + np.kron(eye, (1j * h_eff.conj().T).T)
+    super_op = np.zeros((dim * dim, dim * dim), dtype=complex)
+    _add_kron(super_op, -1j * h_eff, eye)
+    _add_kron(super_op, eye, (1j * h_eff.conj().T).T)
     for c, a, b in jumps:
-        super_op += c * np.kron(a, b.T)
+        _add_kron(super_op, a, b.T, c)
     return super_op
+
+
+def _add_kron(out: np.ndarray, x: np.ndarray, y: np.ndarray, c: complex | None = None) -> None:
+    """out += c * kron(x, y) (or kron(x, y) when c is None), in place.
+
+    Only the products x[i, k] * y[j, l] of nonzero entries are formed and
+    scattered to row i*p + j, column k*q + l for y of shape (p, q); the
+    other entries of the dense kron are exact zeros, so the sum matches the
+    dense one bit for bit.
+    """
+    xi, xk = np.nonzero(x)
+    yj, yl = np.nonzero(y)
+    rows = (xi[:, None] * y.shape[0] + yj).ravel()
+    cols = (xk[:, None] * y.shape[1] + yl).ravel()
+    terms = np.multiply.outer(x[xi, xk], y[yj, yl]).ravel()
+    out[rows, cols] += terms if c is None else c * terms
 
 
 def initial_state(params: SystemParams, fock_dim: int) -> np.ndarray:
@@ -340,14 +375,65 @@ def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
     return atom.reshape(-1, 4).T
 
 
+def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Groups of basis states over which a rho supported on vec entries idx is
+    block diagonal.
+
+    States i and j are linked when entry (i, j) or (j, i) is in idx; each
+    group is the sorted set of states reachable along links from its lowest
+    state. A state with no link belongs to no group: its row and column of
+    rho are zero.
+    """
+    links = np.zeros((dim, dim), dtype=bool)
+    links.flat[idx] = True
+    links |= links.T
+    left = links.any(axis=1)
+    groups = []
+    while left.any():
+        seed = np.zeros(dim, dtype=bool)
+        seed[np.argmax(left)] = True
+        group = _reachable(links, seed)
+        groups.append(group)
+        left[group] = False
+    return groups
+
+
+def _block_gates(states: np.ndarray, idx: np.ndarray,
+                 dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(traces, min_eigs, herm_err) of the (n, dim, dim) stack whose vec
+    entries idx hold states and whose other entries are zero, per group of
+    _state_groups: only the diagonal blocks are formed, and a state in no
+    group contributes an eigenvalue of exactly 0."""
+    rows, cols = np.divmod(idx, dim)
+    traces = states[:, rows == cols].sum(axis=1).real
+    groups = _state_groups(idx, dim)
+    label = np.full(dim, -1)
+    position = np.zeros(dim, dtype=int)
+    for g, group in enumerate(groups):
+        label[group] = g
+        position[group] = np.arange(group.size)
+    n = states.shape[0]
+    min_eigs = np.zeros(n) if (label < 0).any() else np.full(n, np.inf)
+    herm_errs = []
+    for g, group in enumerate(groups):
+        inside = label[rows] == g
+        block = np.zeros((n, group.size, group.size), dtype=complex)
+        block[:, position[rows[inside]], position[cols[inside]]] = states[:, inside]
+        adjoint = block.conj().transpose(0, 2, 1)
+        herm_errs.append(np.abs(block - adjoint).max())
+        min_eigs = np.minimum(min_eigs, eigvalsh(0.5 * (block + adjoint))[:, 0])
+    return traces, min_eigs, float(np.max(herm_errs))
+
+
 def evolve_master(params: SystemParams, cutoff: int | None = None,
                   steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step RK4 integration of the master equation over [0, tau].
 
-    Records the full state, the reduced atom state, and the reduced-state
-    derivative at every grid point. Validates physicality (positivity floor
-    -1e-6) and reruns the endpoint at cutoff+2 to confirm the truncation
-    converged (trace distance <= 1e-8).
+    Records the reachable entries of the joint state, the reduced atom
+    state, and the reduced-state derivative at every grid point. Validates
+    physicality (positivity floor -1e-6, checked on the diagonal blocks of
+    the joint state) and reruns the endpoint at cutoff+2 to confirm the
+    truncation converged (trace distance <= 1e-8).
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
@@ -361,27 +447,20 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     states = _propagate(_rk4_step_matrix(generator, h), start, steps)
     n = steps + 1
     fock_dim = cutoff + 1
-    dim = 2 * fock_dim
-    full = np.zeros((n, dim * dim), dtype=complex)
-    full[:, idx] = states
-    rho_full = full.reshape(n, dim, dim)
     trace_map = _trace_map(idx, fock_dim)
     rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
     rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
 
-    traces = np.einsum("tii->t", rho_full).real
-    herm_err = float(np.abs(rho_full - rho_full.conj().transpose(0, 2, 1)).max())
-    sym = 0.5 * (rho_full + rho_full.conj().transpose(0, 2, 1))
-    min_eigs = eigvalsh(sym)[:, 0]
+    traces, min_eigs, herm_err = _block_gates(states, idx, 2 * fock_dim)
     worst = float(min_eigs.min())
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
 
     # the cutoff+2 rerun needs only its endpoint
-    generator, start, idx = _reachable_block(params, cutoff + 2)
+    generator, start, refined_idx = _reachable_block(params, cutoff + 2)
     end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
-    refined = (_trace_map(idx, fock_dim + 2) @ end).reshape(2, 2)
+    refined = (_trace_map(refined_idx, fock_dim + 2) @ end).reshape(2, 2)
     _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
     conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
@@ -391,7 +470,6 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     return Trajectory(
         times=np.linspace(0.0, params.tau, n),
-        rho_full=rho_full,
         rho_atom=rho_atom,
         rho_atom_dot=rho_atom_dot,
         fock_cutoff=cutoff,
@@ -399,4 +477,6 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         min_eigs=min_eigs,
         herm_err=herm_err,
         conv_dist=conv_dist,
+        states=states,
+        support=idx,
     )

@@ -20,11 +20,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh, with a LAPACK failure raised as NoConvergence."""
+    """np.linalg.eigvalsh, with a LAPACK failure raised as NoConvergence.
+
+    For matrices smaller than 3x3 LAPACK returns NaN for non-finite input
+    instead of failing, so a non-finite eigenvalue counts as a failure too.
+    """
     try:
-        return np.linalg.eigvalsh(m)
+        w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    if not np.isfinite(w).all():
+        raise NoConvergence("Eigenvalues did not converge: non-finite eigenvalues")
+    return w
 
 
 def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -128,8 +128,14 @@ def derive(params: SystemParams) -> DerivedParams:
 
 
 def matched_reservoir(params: SystemParams) -> SystemParams:
-    """The same point with the reservoir matched to the drive, so n_s = m_s = 0."""
-    return replace(params, r_e=params.r_p, theta_e=math.pi - params.theta_p)
+    """The same point with the reservoir matched to the drive, so n_s = m_s = 0.
+
+    theta_p is reduced to t in [0, 2 pi] and theta_e set to pi - t: for such
+    t the phase mismatch (pi - t) + t - pi that derive forms is exactly 0,
+    which it need not be for an unreduced negative theta_p.
+    """
+    t = params.theta_p % (2.0 * math.pi)
+    return replace(params, r_e=params.r_p, theta_p=t, theta_e=math.pi - t)
 
 
 def default_cutoff(derived: DerivedParams) -> int:

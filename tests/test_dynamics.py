@@ -1,18 +1,22 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, _oracle_trajectory,
-                                _reachable_block, _rk4_step_matrix, _trace_map,
-                                analytic_coeffs, analytic_trajectory,
-                                evolve_master, initial_state,
-                                liouvillian_superoperator, ode_oracle_coeffs)
+                                _reachable_block, _rk4_step_matrix,
+                                _state_groups, _trace_map, analytic_coeffs,
+                                analytic_trajectory, evolve_master,
+                                initial_state, liouvillian_superoperator,
+                                ode_oracle_coeffs)
 from cavityqsl.errors import (CutoffNotConverged, PositivityViolated,
                               ValidationError)
-from cavityqsl.linalg import partial_trace_cavity_stack
-from cavityqsl.model import DerivedParams, SystemParams, build_operators, derive
+from cavityqsl.linalg import eigvalsh, partial_trace_cavity_stack
+from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
+                             matched_reservoir)
 
 # a point from the constrained detuning sweep, quiet reservoir
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
@@ -28,6 +32,11 @@ TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
 # unmatched reservoir (n_s = sinh(r_p)^2, m_s != 0): default cutoff 10
 NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
                      theta_p=0.0, gamma=1e-3, kappa=0.05)
+
+# matched at a negative drive phase where theta_e = pi - theta_p left
+# |m_s| = 1.9e-15 and an 18-entry quiet block
+NEGATIVE_PHASE = matched_reservoir(dataclasses.replace(
+    BASE, r_p=1.0942448414759975, theta_p=-4.943160628139503))
 
 
 def closed_form_reference(params, t, flip_root=False):
@@ -92,6 +101,32 @@ def liouvillian(ops, derived, rho):
                   - derived.m_s * twophoton(cav_dag)
                   - np.conj(derived.m_s) * twophoton(cav))
     return out
+
+
+def dense_kron_superoperator(ops, derived):
+    """liouvillian_superoperator written with dense np.kron products."""
+    eye = np.eye(ops.hamiltonian.shape[0], dtype=complex)
+    atom = ops.lindblad_atom
+    cav = ops.lindblad_cavity
+    cav_dag = cav.conj().T
+    jumps = ((1.0, atom, atom.conj().T),
+             (derived.n_s + 1.0, cav, cav_dag),
+             (derived.n_s, cav_dag, cav),
+             (-derived.m_s, cav_dag, cav_dag),
+             (-np.conj(derived.m_s), cav, cav))
+    h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
+    super_op = np.kron(-1j * h_eff, eye) + np.kron(eye, (1j * h_eff.conj().T).T)
+    for c, a, b in jumps:
+        super_op += c * np.kron(a, b.T)
+    return super_op
+
+
+def padded_gates(rho_full):
+    """Trace, minimum eigenvalue and hermiticity error on the full stack."""
+    adjoint = rho_full.conj().transpose(0, 2, 1)
+    traces = np.einsum("tii->t", rho_full).real
+    min_eigs = eigvalsh(0.5 * (rho_full + adjoint))[:, 0]
+    return traces, min_eigs, float(np.abs(rho_full - adjoint).max())
 
 
 def sequential_master_reference(params, cutoff, steps):
@@ -380,7 +415,8 @@ def test_hot_reservoir_needs_headroom():
 
 
 @pytest.mark.parametrize("params, cutoff, size", [
-    (BASE, 2, 5), (TILTED, 2, 9), (NOISY, 10, 242), (NOISY, 12, 338)])
+    (BASE, 2, 5), (TILTED, 2, 9), (NOISY, 10, 242), (NOISY, 12, 338),
+    (NEGATIVE_PHASE, 2, 5)])
 def test_reachable_block_is_closed(params, cutoff, size):
     full = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     generator, start, idx = _reachable_block(params, cutoff)
@@ -428,3 +464,38 @@ def test_oracle_matches_sequential_rk4(params):
     _, amps = _oracle_trajectory(params, t, t / n)
     # same step map; only the order of round-off differs (about n * eps each)
     assert np.abs(amps - sequential_rk4_oracle(params, t, n)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("params, cutoff", [(BASE, 2), (TILTED, 2), (NOISY, 10)],
+                         ids=["quiet", "tilted", "noisy"])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_superoperator_matches_dense_kron(params, cutoff, extra):
+    ops = build_operators(params, cutoff + extra)
+    d = derive(params)
+    assert np.array_equal(liouvillian_superoperator(ops, d), dense_kron_superoperator(ops, d))
+
+
+@pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11])],
+                         ids=["quiet", "tilted", "noisy"])
+def test_block_gates_match_padded_stack(params, sizes):
+    traj = evolve_master(params)
+    dim = 2 * (traj.fock_cutoff + 1)
+    assert [g.size for g in _state_groups(traj.support, dim)] == sizes
+    traces, min_eigs, herm_err = padded_gates(traj.rho_full)
+    assert np.array_equal(traj.traces, traces)
+    assert traj.herm_err == herm_err
+    assert np.abs(traj.min_eigs - min_eigs).max() <= 1e-15
+
+
+@pytest.mark.parametrize("params, limit_mib", [(BASE, 2.0), (NOISY, 40.0)],
+                         ids=["quiet", "noisy"])
+def test_master_point_peak_memory(params, limit_mib):
+    # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB noisy
+    evolve_master(params)
+    tracemalloc.start()
+    try:
+        evolve_master(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < limit_mib

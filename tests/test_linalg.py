@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.errors import ValidationError
+from cavityqsl.errors import NoConvergence, ValidationError
 from cavityqsl.linalg import (dagger, eigvalsh, norms_of_hermitian_stack,
                               partial_trace_cavity_stack)
 
@@ -39,6 +39,13 @@ def test_hermitian_eig_two_by_two_closed_form():
     mean = 0.5 * (a + b)
     half = math.sqrt((0.5 * (a - b)) ** 2 + abs(c) ** 2)
     assert eigvalsh(m) == pytest.approx([mean - half, mean + half], abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_eigvalsh_nan_input_is_no_convergence(dim):
+    # below 3x3 LAPACK returns NaN eigenvalues instead of failing
+    with pytest.raises(NoConvergence, match="did not converge"):
+        eigvalsh(np.full((4, dim, dim), np.nan, dtype=complex))
 
 
 def test_norms_three_four_five():

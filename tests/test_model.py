@@ -72,7 +72,7 @@ def test_derive_noise_no_drive_squeezing():
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.5),
-       st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+       st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi, exclude_max=True))
 def test_matched_reservoir_cancels_noise(r_p, theta_p):
     # exact zeros, not round-off: the quiet reachable block depends on them
     d = derive(matched_reservoir(SystemParams(r_p=r_p, theta_p=theta_p)))

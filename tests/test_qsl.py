@@ -17,7 +17,7 @@ P_GROUND = np.diag([0.0, 1.0]).astype(complex)
 
 def synthetic(rho_atom, rho_atom_dot, tau=1.0):
     n = len(rho_atom)
-    return Trajectory(times=np.linspace(0.0, tau, n), rho_full=None,
+    return Trajectory(times=np.linspace(0.0, tau, n),
                       rho_atom=np.asarray(rho_atom, dtype=complex),
                       rho_atom_dot=np.asarray(rho_atom_dot, dtype=complex),
                       fock_cutoff=1, traces=np.ones(n), min_eigs=np.zeros(n),
