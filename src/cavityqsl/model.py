@@ -31,6 +31,10 @@ QUIET_CUTOFF = 2
 NOISY_CUTOFF = 10
 NOISE_FLOOR = 1e-12
 
+# derive's largest term, sinh(2 r_e) cosh(2 r_p), is below exp(2 (r_e + r_p)); with
+# r_p below threshold (tanh(2 r_p) < 1 needs r_p < 9.54) it stays finite up to here.
+MAX_R_E = 340.0
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -61,6 +65,11 @@ class SystemParams:
         for name in ("gamma", "kappa", "r_p", "r_e"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if beta_of(self.r_p) == 1.0:
+            raise ValidationError(
+                f"r_p must be below threshold: tanh(2 r_p) rounds to 1 at r_p = {self.r_p}")
+        if self.r_e > MAX_R_E:
+            raise ValidationError(f"r_e must be <= {MAX_R_E}, got {self.r_e}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 from .dynamics import (DEFAULT_STEPS, MIN_STEPS, Trajectory, analytic_trajectory,
                        evolve_master)
 from .errors import NumericalError, ValidationError
-from .model import SystemParams, default_cutoff, derive, matched_reservoir
+from .model import SystemParams, derive, matched_reservoir
+from .model import default_cutoff  # unused: the benchmark tracer wraps this name
 from .qsl import qsl_time
 
 SWEEPABLE = ("delta_a", "delta_c", "r_p", "g", "alpha")
@@ -164,36 +165,19 @@ def _apply_fig2_constraint(params: SystemParams, base: SystemParams,
 
 def point_params(spec: SweepSpec, index: int) -> tuple[SystemParams, float, float | None]:
     """Parameters and swept values for one grid index."""
-    values = grid_values(spec.range)
-    n1 = spec.range[2]
-    if spec.second_range is None:
-        if not 0 <= index < n1:
-            raise ValidationError(f"index {index} outside grid of {n1}")
-        var1 = float(values[index])
-        var2 = None
-        overrides = {spec.variable: var1}
-        swept: tuple[str, ...] = (spec.variable,)
-    else:
-        second_values = grid_values(spec.second_range)
-        outer, inner = divmod(index, n1)
-        if not 0 <= outer < spec.second_range[2]:
-            raise ValidationError(f"index {index} outside grid of {spec.points_total}")
-        var1 = float(values[inner])
-        var2 = float(second_values[outer])
-        overrides = {spec.variable: var1, spec.second_variable: var2}
-        swept = (spec.variable, spec.second_variable)
+    if not 0 <= index < spec.points_total:
+        raise ValidationError(f"index {index} outside grid of {spec.points_total}")
+    outer, inner = divmod(index, spec.range[2])
+    var1 = float(grid_values(spec.range)[inner])
+    var2 = None
+    overrides = {spec.variable: var1}
+    if spec.second_range is not None:
+        var2 = float(grid_values(spec.second_range)[outer])
+        overrides[spec.second_variable] = var2
     params = replace(spec.base, **overrides)
     if spec.constraint_mode == "fig2_constrained":
-        params = _apply_fig2_constraint(params, spec.base, swept)
+        params = _apply_fig2_constraint(params, spec.base, tuple(overrides))
     return params, var1, var2
-
-
-def _run_engine(params: SystemParams, engine: str, cutoff: int | None,
-                steps: int) -> tuple[Trajectory, int]:
-    if engine == "analytic":
-        return analytic_trajectory(params, steps), 1
-    used = cutoff if cutoff is not None else default_cutoff(derive(params))
-    return evolve_master(params, used, steps), used
 
 
 def engine_row(params: SystemParams, engine: str, index: int, var1: float,
@@ -204,7 +188,8 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
     common = dict(index=index, var1=var1, var2=var2, beta=d.beta, g_s=d.g_s,
                   delta_s=d.delta_s, n_s=d.n_s, abs_m_s=abs(d.m_s), engine=engine)
     try:
-        traj, used_cutoff = _run_engine(params, engine, cutoff, steps)
+        traj = (analytic_trajectory(params, steps) if engine == "analytic"
+                else evolve_master(params, cutoff, steps))
         result = qsl_time(traj)
     except (ValidationError, NumericalError) as exc:
         if not catch_errors:
@@ -214,7 +199,7 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
     return SweepRow(**common, bures=result.bures, lambda_op=result.lambda_op,
                     lambda_tr=result.lambda_tr, lambda_hs=result.lambda_hs,
                     t_op=result.t_op, t_tr=result.t_tr, t_hs=result.t_hs,
-                    t_qsl=result.t_qsl, cutoff=used_cutoff, steps=steps,
+                    t_qsl=result.t_qsl, cutoff=traj.fock_cutoff, steps=steps,
                     trace_err=traj.trace_err,
                     flag="frozen" if result.frozen else "ok",
                     min_eig=float(traj.min_eigs.min()), herm_err=traj.herm_err)

@@ -121,6 +121,16 @@ def dense_kron_superoperator(ops, derived):
     return super_op
 
 
+def joint_states(traj):
+    """The (n, 2F, 2F) joint density matrices of a master trajectory, F =
+    fock_cutoff + 1: its states scattered into zeros at their support."""
+    n = len(traj.times)
+    dim = 2 * (traj.fock_cutoff + 1)
+    full = np.zeros((n, dim * dim), dtype=complex)
+    full[:, traj.support] = traj.states
+    return full.reshape(n, dim, dim)
+
+
 def padded_gates(rho_full):
     """Trace, minimum eigenvalue and hermiticity error on the full stack."""
     adjoint = rho_full.conj().transpose(0, 2, 1)
@@ -278,7 +288,7 @@ def test_analytic_trajectory_structure():
     traj = analytic_trajectory(BASE, steps=400)
     assert traj.times.shape == (401,)
     assert traj.times[0] == 0.0 and traj.times[-1] == BASE.tau
-    assert traj.rho_full is None
+    assert traj.states is None and traj.support is None
     assert traj.rho_atom.shape == (401, 2, 2)
     c = analytic_coeffs(BASE, float(traj.times[57]))
     state = np.diag([abs(c.excited_amp) ** 2, abs(c.photon_amp) ** 2])
@@ -345,13 +355,13 @@ def test_master_trajectory_physicality():
     assert traj.herm_err <= 1e-10
     assert traj.min_eigs.min() >= -1e-9
     assert traj.conv_dist <= 1e-8
-    assert traj.rho_full.shape == (501, 6, 6)
+    assert joint_states(traj).shape == (501, 6, 6)
 
 
 def test_master_stays_in_single_excitation_sector():
     traj = evolve_master(BASE, steps=300)
     # top Fock level (two quanta) never populates with a quiet reservoir
-    occupancy = np.abs(traj.rho_full[:, 2::3, 2::3]).max()
+    occupancy = np.abs(joint_states(traj)[:, 2::3, 2::3]).max()
     assert occupancy <= 1e-12
 
 
@@ -434,7 +444,7 @@ def test_master_matches_sequential_full_space_loop(params):
     traj = evolve_master(params)
     rho_full, rho_atom, rho_atom_dot = sequential_master_reference(
         params, traj.fock_cutoff, DEFAULT_STEPS)
-    assert np.abs(traj.rho_full - rho_full).max() <= 1e-12
+    assert np.abs(joint_states(traj) - rho_full).max() <= 1e-12
     assert np.abs(traj.rho_atom - rho_atom).max() <= 1e-12
     assert np.abs(traj.rho_atom_dot - rho_atom_dot).max() <= 1e-12
 
@@ -481,7 +491,7 @@ def test_block_gates_match_padded_stack(params, sizes):
     traj = evolve_master(params)
     dim = 2 * (traj.fock_cutoff + 1)
     assert [g.size for g in _state_groups(traj.support, dim)] == sizes
-    traces, min_eigs, herm_err = padded_gates(traj.rho_full)
+    traces, min_eigs, herm_err = padded_gates(joint_states(traj))
     assert np.array_equal(traj.traces, traces)
     assert traj.herm_err == herm_err
     assert np.abs(traj.min_eigs - min_eigs).max() <= 1e-15

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.errors import ValidationError
-from cavityqsl.model import (NOISY_CUTOFF, QUIET_CUTOFF, SystemParams,
+from cavityqsl.model import (MAX_R_E, NOISY_CUTOFF, QUIET_CUTOFF, SystemParams,
                              annihilation, beta_of, bosonic_quadratic_spectrum,
                              build_operators, default_cutoff, derive,
                              matched_reservoir, squeeze_params)
@@ -25,6 +25,20 @@ def test_params_defaults_are_valid():
 def test_params_validation(field, value):
     with pytest.raises(ValidationError):
         SystemParams(**{field: value})
+
+
+def test_params_reject_squeezing_past_float_range():
+    # the largest r_p below threshold in float arithmetic
+    top = 9.5307
+    assert beta_of(top) < 1.0 and beta_of(top + 1e-3) == 1.0
+    with pytest.raises(ValidationError, match="r_p must be below threshold"):
+        SystemParams(r_p=top + 1e-3)
+    with pytest.raises(ValidationError, match="r_e must be <="):
+        SystemParams(r_e=MAX_R_E + 1.0)
+    # at both limits every term derive forms is finite, whatever the phases
+    for theta_e in (0.0, 1.0, math.pi):
+        d = derive(SystemParams(r_p=top, r_e=MAX_R_E, theta_e=theta_e, theta_p=0.3))
+        assert all(math.isfinite(x) for x in (d.n_s, d.m_s.real, d.m_s.imag, d.g_s))
 
 
 def test_beta_literal():

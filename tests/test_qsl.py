@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,12 +101,18 @@ def test_trajectory_needs_two_points():
         synthetic([P_EXCITED], [np.zeros((2, 2), dtype=complex)])
 
 
-def test_master_rates_have_diagonal_ratios():
-    # alpha = 0 keeps rho_atom_dot diagonal with entries +r, -r, forcing
-    # lambda_tr = 2 lambda_op and lambda_hs = sqrt(2) lambda_op
-    op, tr, hs = lambda_averages(evolve_master(BASE, steps=500))
-    assert tr == pytest.approx(2.0 * op, rel=1e-10)
-    assert hs == pytest.approx(math.sqrt(2.0) * op, rel=1e-10)
+# alpha = pi/4 starts in a superposition; r_e = 0 leaves an unmatched, noisy reservoir
+TILTED = replace(BASE, alpha=math.pi / 4)
+NOISY = replace(BASE, r_e=0.0, kappa=0.05)
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_master_rates_have_diagonal_ratios(params):
+    # L preserves trace, so every rho_atom_dot is traceless with eigenvalues
+    # +w, -w, forcing lambda_tr = 2 lambda_op and lambda_hs = sqrt(2) lambda_op
+    op, tr, hs = lambda_averages(evolve_master(params, steps=500))
+    assert tr == pytest.approx(2.0 * op, rel=1e-12)
+    assert hs == pytest.approx(math.sqrt(2.0) * op, rel=1e-12)
 
 
 def test_lambda_quadrature_converges_under_halving():

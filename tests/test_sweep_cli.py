@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ def test_point_params_two_dimensional_index_order():
         point_params(spec, 6)
 
 
+@pytest.mark.parametrize("spec", [
+    small_spec(), small_spec(second_variable="alpha", second_range=(0.0, 1.0, 2))],
+    ids=["1d", "2d"])
+def test_point_params_rejects_indices_outside_the_grid(spec):
+    for index in (-1, spec.points_total):
+        with pytest.raises(ValidationError, match=f"index {index} outside grid of "
+                                                  f"{spec.points_total}"):
+            point_params(spec, index)
+
+
 # ---- running sweeps ----
 
 def test_run_sweep_row_layout():
@@ -131,6 +142,10 @@ def test_run_sweep_row_layout():
         assert r.t_qsl == r.t_op
     # analytic rows do not carry a Fock cutoff; master rows record theirs
     assert rows[0].cutoff == 1 and rows[1].cutoff == 2
+    assert [r.cutoff for r in run_sweep(small_spec(cutoff=4))] == [4, 4, 4]
+    # an unmatched reservoir picks the noisy default cutoff
+    noisy = small_spec(base=replace(QUIET, r_e=0.0), engine="both")
+    assert [r.cutoff for r in run_sweep(noisy)] == [1, 10] * 3
 
 
 def test_run_sweep_is_deterministic():
@@ -410,6 +425,21 @@ def test_nan_state_is_an_error_row_not_frozen(tmp_path):
         flag = line.rsplit(",", 1)[1]
         assert flag.startswith("error:")
         assert issubclass(getattr(cavityqsl.errors, flag[len("error:"):]), NumericalError)
+
+
+@pytest.mark.parametrize("command, message", [
+    # tanh(2 r_p) rounds to 1 from r_p = 9.5308 on, sinh(2 r_e) overflows past r_e = 355
+    (["sweep", "--variable", "r_p", "--range", "0,10,3", "--constraint_mode",
+      "fig2_constrained", "--engine", "master", "--steps", "100"],
+     "r_p must be below threshold"),
+    (["qsl", "--r_p", "400"], "r_p must be below threshold"),
+    (["qsl", "--r_e", "400", "--engine", "analytic"], "r_e must be <="),
+    (["evolve", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+    (["qsl", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "qsl_cutoff"])
+def test_out_of_range_input_exits_1(command, message, capsys):
+    assert cli_main(command) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_unwritable_out_path_exits_1(tmp_path, capsys):
