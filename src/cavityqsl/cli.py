@@ -16,7 +16,7 @@ import contextlib
 import math
 import sys
 from dataclasses import fields
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read config {args.config!r}: {exc}") from None
         settings.update(parse_config(text))
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
@@ -211,8 +211,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is invalid input: exit 1, not argparse's 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavityqsl",
         description="Speed-limit dynamics of a driven atom-cavity model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -248,9 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

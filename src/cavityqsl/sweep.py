@@ -9,10 +9,11 @@ the bit regardless of worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import IO, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .dynamics import (DEFAULT_STEPS, MIN_STEPS, Trajectory, analytic_trajectory
 from .errors import NumericalError, ValidationError
 from .model import SystemParams, derive, matched_reservoir
 from .model import default_cutoff  # unused: the benchmark tracer wraps this name
-from .qsl import qsl_time
+from .qsl import QslResult, qsl_time
 
 SWEEPABLE = ("delta_a", "delta_c", "r_p", "g", "alpha")
 ENGINES = ("analytic", "master", "both")
@@ -48,30 +49,22 @@ class SweepSpec:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        if self.variable not in SWEEPABLE:
-            raise ValidationError(
-                f"variable must be one of {SWEEPABLE}, got {self.variable!r}")
-        _check_range("range", self.range)
+        _check_axis("", self.variable, self.range)
         if (self.second_variable is None) != (self.second_range is None):
             raise ValidationError(
                 "second_variable and second_range must be given together")
         if self.second_variable is not None:
-            if self.second_variable not in SWEEPABLE:
-                raise ValidationError(
-                    f"second_variable must be one of {SWEEPABLE}, got {self.second_variable!r}")
+            _check_axis("second_", self.second_variable, self.second_range)
             if self.second_variable == self.variable:
                 raise ValidationError("second_variable must differ from variable")
-            _check_range("second_range", self.second_range)
         if self.constraint_mode not in MODES:
             raise ValidationError(
                 f"constraint_mode must be one of {MODES}, got {self.constraint_mode!r}")
         if self.engine not in ENGINES:
             raise ValidationError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.engine in ("analytic", "both"):
-            sweeps_alpha = "alpha" in (self.variable, self.second_variable)
-            if sweeps_alpha or self.base.alpha != 0.0:
-                raise ValidationError(
-                    "engine 'analytic' requires alpha = 0 over the whole sweep")
+        if "analytic" in engines_of(self.engine) and (
+                self.base.alpha != 0.0 or "alpha" in (self.variable, self.second_variable)):
+            raise ValidationError("engine 'analytic' requires alpha = 0 over the whole sweep")
         if self.constraint_mode == "fig2_constrained" and \
                 "delta_c" in (self.variable, self.second_variable):
             raise ValidationError(
@@ -81,22 +74,36 @@ class SweepSpec:
         if self.steps < MIN_STEPS:
             raise ValidationError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
 
+    @cached_property
+    def points(self) -> tuple[tuple[SystemParams, float, float | None], ...]:
+        """(params, var1, var2) per grid index, built (and so checked) on first use."""
+        swept = tuple(filter(None, (self.variable, self.second_variable)))
+        outer = [None] if self.second_range is None else grid_values(self.second_range).tolist()
+        points = []
+        for var2, var1 in itertools.product(outer, grid_values(self.range).tolist()):
+            params = replace(self.base, **dict(zip(swept, (var1, var2))))
+            if self.constraint_mode == "fig2_constrained":
+                params = _apply_fig2_constraint(params, self.base, swept)
+            points.append((params, var1, var2))
+        return tuple(points)
+
     @property
     def points_total(self) -> int:
-        n = self.range[2]
-        if self.second_range is not None:
-            n *= self.second_range[2]
-        return n
+        return len(self.points)
 
 
-def _check_range(name: str, rng: tuple[float, float, int]) -> None:
+def _check_axis(prefix: str, variable: str, rng: tuple[float, float, int]) -> None:
+    """One swept axis: `{prefix}variable` and its `{prefix}range`."""
+    if variable not in SWEEPABLE:
+        raise ValidationError(
+            f"{prefix}variable must be one of {SWEEPABLE}, got {variable!r}")
     start, stop, points = rng
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValidationError(f"{name} endpoints must be finite")
+        raise ValidationError(f"{prefix}range endpoints must be finite")
     if points < 2:
-        raise ValidationError(f"{name} needs points >= 2, got {points}")
+        raise ValidationError(f"{prefix}range needs points >= 2, got {points}")
     if not start < stop:
-        raise ValidationError(f"{name} needs start < stop, got ({start}, {stop})")
+        raise ValidationError(f"{prefix}range needs start < stop, got ({start}, {stop})")
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,8 @@ _ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 # The sweep CSV columns, in order: the SweepRow fields up to flag.
 CSV_FIELDS = _ROW_FIELDS[:_ROW_FIELDS.index("flag") + 1]
 CSV_HEADER = ",".join(CSV_FIELDS)
+# The speed-limit columns, copied from QslResult by name; frozen becomes the flag.
+_QSL_FIELDS = tuple(f.name for f in fields(QslResult) if f.name != "frozen")
 
 
 def engines_of(engine: str) -> tuple[str, ...]:
@@ -167,17 +176,7 @@ def point_params(spec: SweepSpec, index: int) -> tuple[SystemParams, float, floa
     """Parameters and swept values for one grid index."""
     if not 0 <= index < spec.points_total:
         raise ValidationError(f"index {index} outside grid of {spec.points_total}")
-    outer, inner = divmod(index, spec.range[2])
-    var1 = float(grid_values(spec.range)[inner])
-    var2 = None
-    overrides = {spec.variable: var1}
-    if spec.second_range is not None:
-        var2 = float(grid_values(spec.second_range)[outer])
-        overrides[spec.second_variable] = var2
-    params = replace(spec.base, **overrides)
-    if spec.constraint_mode == "fig2_constrained":
-        params = _apply_fig2_constraint(params, spec.base, tuple(overrides))
-    return params, var1, var2
+    return spec.points[index]
 
 
 def engine_row(params: SystemParams, engine: str, index: int, var1: float,
@@ -196,11 +195,8 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
             raise
         return SweepRow(**{**dict.fromkeys(CSV_FIELDS), **common,
                            "flag": f"error:{type(exc).__name__}"})
-    return SweepRow(**common, bures=result.bures, lambda_op=result.lambda_op,
-                    lambda_tr=result.lambda_tr, lambda_hs=result.lambda_hs,
-                    t_op=result.t_op, t_tr=result.t_tr, t_hs=result.t_hs,
-                    t_qsl=result.t_qsl, cutoff=traj.fock_cutoff, steps=steps,
-                    trace_err=traj.trace_err,
+    return SweepRow(**common, **{name: getattr(result, name) for name in _QSL_FIELDS},
+                    cutoff=traj.fock_cutoff, steps=steps, trace_err=traj.trace_err,
                     flag="frozen" if result.frozen else "ok",
                     min_eig=float(traj.min_eigs.min()), herm_err=traj.herm_err)
 
@@ -220,7 +216,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    indices = range(spec.points_total)
+    indices = range(spec.points_total)  # builds, and so checks, the whole grid first
     if workers == 1:
         nested = [evaluate_point(spec, i) for i in indices]
     else:
@@ -255,13 +251,9 @@ TRAJECTORY_HEADER = ("t,re_ee,im_ee,re_eg,im_eg,re_ge,im_ge,re_gg,im_gg,"
 
 def write_trajectory_csv(traj: Trajectory, stream: IO[str]) -> None:
     """Reduced-state trajectory table, one line per grid point."""
-    stream.write(TRAJECTORY_HEADER + "\n")
-    for k in range(len(traj.times)):
-        atom = traj.rho_atom[k]
-        cells = [traj.times[k]]
-        for i in (0, 1):
-            for j in (0, 1):
-                cells.extend((atom[i, j].real, atom[i, j].imag))
-        cells.extend((atom[0, 0].real, atom[1, 1].real,
-                      float(traj.traces[k]), float(traj.min_eigs[k])))
-        stream.write(",".join(format(c, ".17g") for c in cells) + "\n")
+    atom = traj.rho_atom
+    # header order; the complex view gives the (re, im) pairs of ee, eg, ge, gg
+    table = np.column_stack((traj.times, atom.reshape(-1, 4).view(float), atom[:, 0, 0].real,
+                             atom[:, 1, 1].real, traj.traces, traj.min_eigs))
+    np.savetxt(stream, table, fmt="%.17g", delimiter=",", header=TRAJECTORY_HEADER,
+               comments="")

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,15 +156,42 @@ def test_run_sweep_is_deterministic():
 
 
 def test_run_sweep_worker_count_does_not_change_output():
-    spec = small_spec()
-    sequential = [format_row(r) for r in run_sweep(spec, workers=1)]
-    parallel = [format_row(r) for r in run_sweep(spec, workers=2)]
-    assert sequential == parallel
+    # r_e = 0 makes the second grid noisy: cutoff 10 and a 242-entry block,
+    # above the size where OpenBLAS splits a product over threads
+    noisy = small_spec(variable="r_p", range=(0.1, 0.3, 2), base=replace(QUIET, r_e=0.0))
+    for spec, cutoff in ((small_spec(), 2), (noisy, 10)):
+        sequential = run_sweep(spec, workers=1)
+        assert {r.cutoff for r in sequential} == {cutoff}
+        parallel = run_sweep(spec, workers=2)
+        assert [format_row(r) for r in sequential] == [format_row(r) for r in parallel]
 
 
 def test_run_sweep_rejects_bad_worker_count():
     with pytest.raises(ValidationError):
         run_sweep(small_spec(), workers=0)
+
+
+def test_grid_is_checked_before_the_first_point(monkeypatch, capsys):
+    # r_p = 10 (the last of three points) is past threshold; no point may run
+    calls = []
+    original = cavityqsl.sweep.evolve_master
+    monkeypatch.setattr(cavityqsl.sweep, "evolve_master",
+                        lambda *args: calls.append(args) or original(*args))
+    assert cli_main(["sweep", "--variable", "r_p", "--range", "0,10,3",
+                     "--constraint_mode", "fig2_constrained", "--engine", "master",
+                     "--steps", "100"]) == 1
+    assert capsys.readouterr().err.startswith("error: r_p must be below threshold")
+    assert calls == []
+
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_builds_its_grid(path):
+    spec = build_sweep_spec(parse_config(path.read_text(encoding="utf-8")))
+    expected = spec.range[2] * (spec.second_range[2] if spec.second_range else 1)
+    assert len(spec.points) == expected
 
 
 def test_error_rows_carry_flag_and_empty_numbers():
@@ -212,6 +240,16 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 102
     first = [float(c) for c in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == 1.0 and first[11] == 1.0
+    # every cell, on a tilted start with nonzero coherences, against a per-cell loop
+    traj = evolve_master(replace(QUIET, alpha=0.3), steps=100)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    expected = [TRAJECTORY_HEADER]
+    for t, atom, trace, min_eig in zip(traj.times, traj.rho_atom, traj.traces, traj.min_eigs):
+        cells = [t, *(part for z in atom.ravel() for part in (z.real, z.imag)),
+                 atom[0, 0].real, atom[1, 1].real, trace, min_eig]
+        expected.append(",".join(format(c, ".17g") for c in cells))
+    assert buf.getvalue() == "\n".join(expected) + "\n"
 
 
 # ---- config parsing ----
@@ -330,6 +368,30 @@ def test_cli_exit_code_for_config_errors(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
     assert cli_main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert cli_main(["qsl", "--g", "-1.0"]) == 1
+
+
+def test_cli_config_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"variable = delta_a\nrange = 0, 1, 2\n# \xe9\n")
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {str(cfg)!r}")
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--cutoff", "x"], ["qsl", "--engine", "bogus"],
+    ["sweep", "--workers", "two"], ["qsl", "--bogus", "1"], ["check", "--seed", "x"], []],
+    ids=["evolve_cutoff", "qsl_engine", "sweep_workers", "qsl_unknown_flag",
+         "check_seed", "no_command"])
+def test_malformed_command_line_exits_1(command, capsys):
+    assert cli_main(command) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--workers" in capsys.readouterr().out
 
 
 def test_cli_exit_code_for_numerical_failure(tmp_path):
