@@ -264,3 +264,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(cli_main())

@@ -2,9 +2,12 @@
 the cavity partial trace over stacks.
 
 Matrices are plain complex128 numpy arrays in row-major order. Dimensions
-here never exceed a few dozen, so everything is dense and direct. Basis
-ordering is fixed globally as atom-major: index = atom_index * fock_dim +
-fock_index, with atom index 0 = excited, 1 = ground.
+here never exceed a few dozen, so everything is dense and direct. Hermitian
+spectra of 1x1 and 2x2 slices -- the two-level atom's speed norms and the
+small positivity groups of a quiet master point -- come from the closed
+form; larger slices go to LAPACK. Basis ordering is fixed globally as
+atom-major: index = atom_index * fock_dim + fock_index, with atom index
+0 = excited, 1 = ground.
 """
 
 from __future__ import annotations
@@ -20,15 +23,30 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh, with a LAPACK failure raised as NoConvergence.
+    """Ascending eigenvalues of each Hermitian slice of a (..., k, k) stack,
+    read from the lower triangle as np.linalg.eigvalsh reads it.
 
-    For matrices smaller than 3x3 LAPACK returns NaN for non-finite input
-    instead of failing, so a non-finite eigenvalue counts as a failure too.
+    k = 1 gives the real diagonal and k = 2 the closed form
+    w = (p+q)/2 -+ hypot((p-q)/2, |b|) with p, q the diagonal and b the
+    lower off-diagonal entry, halved before summing so that entries near
+    the float range do not overflow. Other k go to np.linalg.eigvalsh, whose
+    failure is raised as NoConvergence. A non-finite eigenvalue (non-finite
+    input) counts as a failure too.
     """
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    m = np.asarray(m)
+    k = m.shape[-1] if m.ndim >= 2 and m.shape[-2] == m.shape[-1] else 0
+    if k == 1:
+        w = m[..., 0].real.astype(float)
+    elif k == 2:
+        p, q = m[..., 0, 0].real, m[..., 1, 1].real
+        mean = 0.5 * p + 0.5 * q
+        half = np.hypot(0.5 * p - 0.5 * q, np.abs(m[..., 1, 0]))
+        w = np.stack((mean - half, mean + half), axis=-1)
+    else:
+        try:
+            w = np.linalg.eigvalsh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
     if not np.isfinite(w).all():
         raise NoConvergence("Eigenvalues did not converge: non-finite eigenvalues")
     return w
@@ -38,7 +56,8 @@ def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Operator, trace and Hilbert-Schmidt norms over a (n, d, d) stack of
     near-Hermitian matrices.
 
-    Symmetrizes each slice, then runs one batched eigvalsh call. Singular
+    Symmetrizes each slice, then takes all spectra in one eigvalsh call
+    (closed form for the 2x2 slices of the atom, LAPACK above). Singular
     values of a Hermitian matrix are |eigenvalues|, so op = max|w|,
     tr = sum|w|, hs = sqrt(sum w^2), and always op <= hs <= tr.
     """

@@ -159,6 +159,21 @@ def test_criterion_2_bound_ordering_everywhere(standard_sweeps, tilted_sweep,
                     f"max t_qsl - tau = {worst_over:.2e}")
 
 
+def test_master_rows_have_traceless_norm_ratios(standard_sweeps, tilted_sweep):
+    # L preserves trace, so a master row's rho_dot_atom has eigenvalues +-w:
+    # lambda_tr = 2 lambda_op and lambda_hs = sqrt(2) lambda_op exactly. The
+    # analytic engine drops the ground refill, so its rows are exempt.
+    rows = [r for _, sweep_rows, _ in standard_sweeps.values()
+            for r in sweep_rows if r.engine == "master"] + tilted_sweep[1]
+    rows = [r for r in rows if r.flag == "ok"]
+    worst = max(max(abs(r.lambda_tr / (2.0 * r.lambda_op) - 1.0),
+                    abs(r.lambda_hs / (math.sqrt(2.0) * r.lambda_op) - 1.0))
+                for r in rows)
+    print(f"traceless norm ratios: worst relative gap {worst:.2e} over "
+          f"{len(rows)} ok master rows (limit 1e-12)")
+    assert rows and worst <= 1e-12
+
+
 def test_criterion_3_plateau_and_dip(standard_sweeps):
     spec, rows, _ = standard_sweeps["delta_a"]
     master = [r for r in rows if r.engine == "master"]

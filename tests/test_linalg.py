@@ -41,6 +41,58 @@ def test_hermitian_eig_two_by_two_closed_form():
     assert eigvalsh(m) == pytest.approx([mean - half, mean + half], abs=1e-12)
 
 
+def _edge_slices(dim, rng):
+    """Slices where a closed form can lose accuracy, order or range."""
+    if dim == 1:
+        return np.array([[[0.0]], [[-1e-150]], [[1e150]], [[-1e307]], [[1e307]]],
+                        dtype=complex)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    b = 0.3 - 0.4j
+    slices = [np.diag([2.0, -1.0]), np.diag([-1.0, 2.0]),  # diagonal
+              np.outer(v, v.conj()),  # rank one
+              1.5 * np.eye(2),  # exactly degenerate
+              np.zeros((2, 2)),
+              np.array([[0.0, np.conj(b)], [b, 0.0]])]  # off-diagonal only
+    for scale in (1e-150, 1e150, 1e307):
+        for _ in range(4):
+            m = _random_hermitian(rng, 2)
+            slices.append(scale * m / np.abs(m).max())
+        slices.append(scale * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        slices.append(scale * np.array([[1.0, 0.0], [1.0j, -1.0]]))
+    # p + q or p - q past the float range, with finite eigenvalues
+    slices += [[[1e308, 1e307], [1e307, 1e308]], 1.5e308 * np.eye(2),
+               [[-1e308, 5e307j], [-5e307j, 1e308]]]
+    return np.array(slices, dtype=complex)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_small_eigvalsh_matches_lapack(dim):
+    # the closed-form branches against LAPACK, slice by slice
+    rng = np.random.default_rng(dim)
+    stack = np.concatenate([np.array([_random_hermitian(rng, dim) for _ in range(500)]),
+                            _edge_slices(dim, rng)])
+    # LAPACK reads the lower triangle and the real diagonal only
+    scrambled = stack + 1j * np.diag(rng.normal(size=dim))
+    upper_rows, upper_cols = np.triu_indices(dim, 1)
+    scrambled[:, upper_rows, upper_cols] = 9.0 - 4.0j
+    for m in (stack, scrambled):
+        got = eigvalsh(m)
+        want = np.linalg.eigvalsh(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got[:, 1:] >= got[:, :-1]).all()
+        norm = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-14 * norm).all()
+
+
+@pytest.mark.parametrize("dim, row, col", [(1, 0, 0), (2, 0, 0), (2, 1, 1), (2, 1, 0)])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_eigvalsh_inf_input_is_no_convergence(dim, row, col, value):
+    m = np.zeros((3, dim, dim), dtype=complex)
+    m[1, row, col] = value
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
+        eigvalsh(m)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_eigvalsh_nan_input_is_no_convergence(dim):
     # below 3x3 LAPACK returns NaN eigenvalues instead of failing

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityqsl
 import cavityqsl.errors
 from cavityqsl import cli
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
@@ -392,6 +396,26 @@ def test_help_exits_0(capsys):
         cli_main(["sweep", "--help"])
     assert exc.value.code == 0
     assert "--workers" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["cavityqsl", "cavityqsl.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("qsl", "--steps", "100")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2 and lines[1].endswith(",ok")
+    bad = run("qsl", "--bogus", "1")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error: ")
 
 
 def test_cli_exit_code_for_numerical_failure(tmp_path):
