@@ -7,6 +7,13 @@ Two independent routes to the same physics:
 * fixed-step RK4 integration of the squeezed-picture Lindblad master
   equation on a truncated Fock space (master path, any initial angle),
   restricted to the entries of vec(rho) that the initial state reaches.
+  That support is closed under transposition and ordered as its diagonal
+  entries, its upper entries (i < j) and the matching (j, i) entries, so a
+  Hermitian rho on it has exactly as many real coordinates as entries:
+  the diagonal, then the real and imaginary parts of the upper entries.
+  The Lindblad flow keeps rho Hermitian, so both master propagations run
+  in those real coordinates (dgemm instead of zgemm) with the same RK4
+  polynomial and doubling, and the complex entries are rebuilt by slices.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffNotConverged, PositivityViolated, ValidationError
+from .errors import (CutoffNotConverged, NumericalError, PositivityViolated,
+                     ValidationError)
 from .linalg import eigvalsh, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
@@ -62,10 +70,15 @@ class Trajectory:
 
     On the master path states holds vec(rho)[support] at every grid point:
     the entries of the row-major vectorized joint density matrix that the
-    initial state reaches, all others being exactly zero. Both are None on
-    the analytic path (the closed form never builds the joint density
+    initial state reaches, all others being exactly zero. support is not
+    sorted: it lists the diagonal entries, the upper entries (i < j) and
+    then the matching (j, i) entries, each ascending, and the last group
+    holds the exact conjugates of the second. states and support are None
+    on the analytic path (the closed form never builds the joint density
     matrix). traces and min_eigs are per-step diagnostics; herm_err and
-    conv_dist summarize the whole run.
+    conv_dist summarize the whole run. herm_err is exactly 0.0 on both
+    paths: the master states are rebuilt from real coordinates, so they are
+    Hermitian by construction.
     """
 
     times: np.ndarray
@@ -288,9 +301,10 @@ def _rk4_step_matrix(super_op: np.ndarray, h: float) -> np.ndarray:
     For vec_dot = L vec the four-stage update collapses exactly to the
     degree-4 Taylor polynomial I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24,
     so precomputing it reproduces RK4 arithmetic at matrix-vector cost.
+    Real or complex, as super_op is.
     """
     hl = h * super_op
-    step = np.eye(super_op.shape[0], dtype=complex) + hl
+    step = np.eye(super_op.shape[0], dtype=hl.dtype) + hl
     term = hl
     for order in (2, 3, 4):
         term = (hl @ term) / order
@@ -304,8 +318,9 @@ def _propagate(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarr
     Doubling: with rows 0..m-1 known and P = S^m, rows m..2m-1 are one
     matrix product away, then P <- P P. About log2(steps) products of
     growing height replace a Python loop of steps matrix-vector products.
+    The rows are real or complex, as S and vec are.
     """
-    states = np.empty((steps + 1, vec.size), dtype=complex)
+    states = np.empty((steps + 1, vec.size), dtype=np.result_type(step_matrix, vec))
     states[0] = vec
     power = step_matrix
     done = 1
@@ -347,12 +362,58 @@ def _reachable_block(params: SystemParams, cutoff: int) -> tuple[np.ndarray, np.
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
     of the full Liouvillian L, so L[outside, idx] is exactly zero, entries
     outside idx stay exactly zero, and L[idx, idx] propagates the same
-    linear map as L.
+    linear map as L. It lists the diagonal entries, then the upper entries
+    (i < j), then the matching (j, i) entries, each ascending, the order
+    _real_form reads. A Lindblad L and a Hermitian rho_0 always give a
+    support closed under transposition; any other support raises.
     """
+    dim = 2 * (cutoff + 1)
     super_op = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
-    idx = _reachable(super_op != 0, vec != 0)
+    reached = _reachable(super_op != 0, vec != 0)
+    rows, cols = np.divmod(reached, dim)
+    transposed = cols * dim + rows
+    if not np.array_equal(np.sort(transposed), reached):
+        raise NumericalError("reachable block is not closed under transposition")
+    upper = rows < cols
+    idx = np.concatenate((reached[rows == cols], reached[upper], transposed[upper]))
     return super_op[np.ix_(idx, idx)], vec[idx], idx
+
+
+def _diagonal_count(idx: np.ndarray, dim: int) -> int:
+    """How many entries of idx lie on the diagonal of a dim x dim matrix."""
+    rows, cols = np.divmod(idx, dim)
+    return int(np.count_nonzero(rows == cols))
+
+
+def _real_form(generator: np.ndarray, start: np.ndarray,
+               diagonal: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real generator and real start of a block in _reachable_block order.
+
+    A Hermitian rho on the block is r = (d, x, y): the diagonal entries d,
+    the upper entries x + iy and the lower ones x - iy. Then vec_dot = L vec
+    becomes r_dot = G r, with the columns of L acting on d, on x
+    (L[:, u] + L[:, l]) and on y (i (L[:, u] - L[:, l])), and G keeping the
+    real parts of the rows of d and u and the imaginary parts of the rows
+    of u; every entry of G takes one rounding.
+    """
+    end = (generator.shape[0] + diagonal) // 2
+    upper, lower = generator[:, diagonal:end], generator[:, end:]
+    cols = np.concatenate((generator[:, :diagonal], upper + lower, 1j * (upper - lower)), axis=1)
+    real_generator = np.concatenate((cols[:end].real, cols[diagonal:end].imag))
+    return real_generator, np.concatenate((start[:end].real, start[diagonal:end].imag))
+
+
+def _complex_form(real: np.ndarray, diagonal: int) -> np.ndarray:
+    """vec(rho)[idx] from real coordinates (..., |idx|) of _real_form, by
+    slices: d and x fill the real parts, y the imaginary parts of the upper
+    entries, and the lower entries are their exact conjugates."""
+    end = (real.shape[-1] + diagonal) // 2
+    out = np.empty(real.shape, dtype=complex)
+    out[..., :end] = real[..., :end]
+    out.imag[..., diagonal:end] = real[..., end:]
+    np.conjugate(out[..., diagonal:end], out=out[..., end:])
+    return out
 
 
 def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -370,14 +431,13 @@ def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
     """Groups of basis states over which a rho supported on vec entries idx is
     block diagonal.
 
-    States i and j are linked when entry (i, j) or (j, i) is in idx; each
-    group is the sorted set of states reachable along links from its lowest
-    state. A state with no link belongs to no group: its row and column of
-    rho are zero.
+    idx is closed under transposition (see _reachable_block), so states i
+    and j are linked when entry (i, j) is in idx; each group is the sorted
+    set of states reachable along links from its lowest state. A state with
+    no link belongs to no group: its row and column of rho are zero.
     """
     links = np.zeros((dim, dim), dtype=bool)
     links.flat[idx] = True
-    links |= links.T
     left = links.any(axis=1)
     groups = []
     while left.any():
@@ -389,28 +449,25 @@ def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
     return groups
 
 
-def _block_gates(states: np.ndarray, idx: np.ndarray,
-                 dim: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(traces, min_eigs, herm_err) of the (n, dim, dim) stack whose vec
-    entries idx hold states and whose other entries are zero, per group of
-    _state_groups: only the diagonal blocks are formed, and a state in no
-    group contributes an eigenvalue of exactly 0."""
+def _block_gates(states: np.ndarray, idx: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(traces, min_eigs) of the (n, dim, dim) stack of exactly Hermitian
+    matrices whose vec entries idx hold states and whose other entries are
+    zero, per group of _state_groups: only the zero-filled diagonal blocks
+    are formed, and a state in no group contributes an eigenvalue of
+    exactly 0."""
     rows, cols = np.divmod(idx, dim)
     traces = states[:, rows == cols].sum(axis=1).real
     groups = _state_groups(idx, dim)
     n = states.shape[0]
     grouped = sum(group.size for group in groups)
     min_eigs = np.zeros(n) if grouped < dim else np.full(n, np.inf)
-    herm_errs = []
     for group in groups:
         inside = np.isin(rows, group)
         block = np.zeros((n, group.size, group.size), dtype=complex)
         block[:, np.searchsorted(group, rows[inside]),
               np.searchsorted(group, cols[inside])] = states[:, inside]
-        adjoint = block.conj().transpose(0, 2, 1)
-        herm_errs.append(np.abs(block - adjoint).max())
-        min_eigs = np.minimum(min_eigs, eigvalsh(0.5 * (block + adjoint))[:, 0])
-    return traces, min_eigs, float(np.max(herm_errs))
+        min_eigs = np.minimum(min_eigs, eigvalsh(block)[:, 0])
+    return traces, min_eigs
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -428,16 +485,19 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     if cutoff is None:
         cutoff = default_cutoff(derive(params))
 
-    generator, start, idx = _reachable_block(params, cutoff)
-    h = params.tau / steps
-    states = _propagate(_rk4_step_matrix(generator, h), start, steps)
     n = steps + 1
     fock_dim = cutoff + 1
+    h = params.tau / steps
+    generator, start, idx = _reachable_block(params, cutoff)
+    diagonal = _diagonal_count(idx, 2 * fock_dim)
+    real_generator, real_start = _real_form(generator, start, diagonal)
+    states = _complex_form(
+        _propagate(_rk4_step_matrix(real_generator, h), real_start, steps), diagonal)
     trace_map = _trace_map(idx, fock_dim)
     rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
     rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
 
-    traces, min_eigs, herm_err = _block_gates(states, idx, 2 * fock_dim)
+    traces, min_eigs = _block_gates(states, idx, 2 * fock_dim)
     worst = float(min_eigs.min())
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
@@ -445,8 +505,10 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     # the cutoff+2 rerun needs only its endpoint
     generator, start, refined_idx = _reachable_block(params, cutoff + 2)
-    end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
-    refined = (_trace_map(refined_idx, fock_dim + 2) @ end).reshape(2, 2)
+    diagonal = _diagonal_count(refined_idx, 2 * (fock_dim + 2))
+    real_generator, real_start = _real_form(generator, start, diagonal)
+    end = _propagate_endpoint(_rk4_step_matrix(real_generator, h), real_start, steps)
+    refined = (_trace_map(refined_idx, fock_dim + 2) @ _complex_form(end, diagonal)).reshape(2, 2)
     _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
     conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
@@ -461,7 +523,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         fock_cutoff=cutoff,
         traces=traces,
         min_eigs=min_eigs,
-        herm_err=herm_err,
+        herm_err=0.0,
         conv_dist=conv_dist,
         states=states,
         support=idx,

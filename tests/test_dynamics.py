@@ -5,15 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, _oracle_trajectory,
-                                _reachable_block, _rk4_step_matrix,
-                                _state_groups, _trace_map, analytic_coeffs,
+from cavityqsl.dynamics import (DEFAULT_STEPS, _complex_form, _diagonal_count,
+                                _oracle_trajectory, _reachable_block,
+                                _real_form, _rk4_step_matrix, _state_groups,
+                                _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
                                 ode_oracle_coeffs)
-from cavityqsl.errors import (CutoffNotConverged, PositivityViolated,
-                              ValidationError)
+from cavityqsl.errors import (CutoffNotConverged, NumericalError,
+                              PositivityViolated, ValidationError)
 from cavityqsl.linalg import eigvalsh, partial_trace_cavity_stack
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
                              matched_reservoir)
@@ -439,6 +442,68 @@ def test_reachable_block_is_closed(params, cutoff, size):
     assert (generator == full[np.ix_(idx, idx)]).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(r_p=st.floats(0.0, 1.0), theta_p=st.floats(-math.pi, math.pi),
+       r_e=st.floats(0.0, 1.0), theta_e=st.floats(-math.pi, math.pi),
+       alpha=st.floats(0.0, math.pi / 2), cutoff=st.integers(1, 4))
+def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, theta_e,
+                                                           alpha, cutoff):
+    params = SystemParams(g=1.0, r_p=r_p, delta_a=0.7, delta_c=1.3, theta_p=theta_p,
+                          gamma=0.05, kappa=0.1, r_e=r_e, theta_e=theta_e, alpha=alpha)
+    _, _, idx = _reachable_block(params, cutoff)
+    dim = 2 * (cutoff + 1)
+    diagonal = _diagonal_count(idx, dim)
+    end = (idx.size + diagonal) // 2
+    assert idx.size == 2 * end - diagonal
+    rows, cols = np.divmod(idx, dim)
+    assert (rows[:diagonal] == cols[:diagonal]).all()
+    assert (rows[diagonal:end] < cols[diagonal:end]).all()
+    assert (np.diff(idx[:diagonal]) > 0).all() and (np.diff(idx[diagonal:end]) > 0).all()
+    assert np.array_equal(idx[end:], cols[diagonal:end] * dim + rows[diagonal:end])
+
+
+@pytest.mark.parametrize("params, cutoff", [(BASE, 2), (BASE, 4), (TILTED, 2), (TILTED, 4),
+                                            (NOISY, 10), (NOISY, 12)])
+def test_real_form_reproduces_block(params, cutoff):
+    generator, start, idx = _reachable_block(params, cutoff)
+    dim = 2 * (cutoff + 1)
+    diagonal = _diagonal_count(idx, dim)
+    real_generator, real_start = _real_form(generator, start, diagonal)
+    assert real_generator.dtype == real_start.dtype == np.float64
+    assert real_generator.shape == generator.shape
+    assert np.array_equal(_complex_form(real_start, diagonal), start)
+    # on a random Hermitian state of the support, G r is the real form of L vec
+    rng = np.random.default_rng(cutoff)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vec = (m + m.conj().T).reshape(-1)[idx]
+    end = (idx.size + diagonal) // 2
+    real = np.concatenate((vec[:end].real, vec[diagonal:end].imag))
+    assert np.array_equal(_complex_form(real, diagonal), vec)
+    want = generator @ vec
+    got = _complex_form(real_generator @ real, diagonal)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_support_not_closed_under_transposition_raises(monkeypatch):
+    # a lone coherence |e,0><g,0| is not Hermitian: its closure misses the transposes
+    def coherence(params, fock_dim):
+        rho = np.zeros((2 * fock_dim, 2 * fock_dim), dtype=complex)
+        rho[0, fock_dim] = 1.0
+        return rho
+
+    monkeypatch.setattr("cavityqsl.dynamics.initial_state", coherence)
+    with pytest.raises(NumericalError, match="transposition"):
+        _reachable_block(BASE, 2)
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_master_states_are_exactly_hermitian(params):
+    traj = evolve_master(params)
+    rho = joint_states(traj)
+    assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
+    assert traj.herm_err == 0.0
+
+
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
 def test_master_matches_sequential_full_space_loop(params):
     traj = evolve_master(params)
@@ -497,7 +562,7 @@ def test_block_gates_match_padded_stack(params, sizes):
     assert np.abs(traj.min_eigs - min_eigs).max() <= 1e-15
 
 
-@pytest.mark.parametrize("params, limit_mib", [(BASE, 2.0), (NOISY, 40.0)],
+@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (NOISY, 25.0)],
                          ids=["quiet", "noisy"])
 def test_master_point_peak_memory(params, limit_mib):
     # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB noisy

@@ -151,6 +151,20 @@ def test_norm_stack_symmetrizes_each_slice():
     assert [g[0] for g in got] == [w[0] for w in want]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_norm_reductions_match_per_slice_sums(dim):
+    # the reductions over the (dim, n) transpose add in the order of the
+    # per-slice sums over axis 1 of the (n, dim) spectrum
+    rng = np.random.default_rng(dim)
+    scales = 10.0 ** rng.uniform(-8, 8, size=(500, 1, 1))
+    stack = np.array([_random_hermitian(rng, dim) for _ in range(500)]) * scales
+    w = eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+    op, tr, hs = norms_of_hermitian_stack(stack)
+    assert np.array_equal(op, np.abs(w).max(axis=1))
+    assert np.array_equal(tr, np.abs(w).sum(axis=1))
+    assert np.array_equal(hs, np.sqrt((w * w).sum(axis=1)))
+
+
 def test_partial_trace_single_excitation_form():
     # |psi> = A |e,0> + B |g,1> reduces to diag(|A|^2, |B|^2)
     amp_e, amp_p = 0.6, 0.8j
