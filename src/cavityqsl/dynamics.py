@@ -24,12 +24,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (CutoffNotConverged, NumericalError, PositivityViolated,
                      ValidationError)
-from .linalg import eigvalsh, norms_of_hermitian_stack
+from .linalg import eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
                     default_cutoff, derive)
@@ -78,7 +79,8 @@ class Trajectory:
     matrix). traces and min_eigs are per-step diagnostics; herm_err and
     conv_dist summarize the whole run. herm_err is exactly 0.0 on both
     paths: the master states are rebuilt from real coordinates, so they are
-    Hermitian by construction.
+    Hermitian by construction. min_eigs is computed on first read and
+    cached, since the positivity gate of the master path does not need it.
     """
 
     times: np.ndarray
@@ -86,7 +88,6 @@ class Trajectory:
     rho_atom_dot: np.ndarray
     fock_cutoff: int
     traces: np.ndarray
-    min_eigs: np.ndarray
     herm_err: float
     conv_dist: float
     states: np.ndarray | None = None
@@ -95,6 +96,16 @@ class Trajectory:
     @property
     def trace_err(self) -> float:
         return float(np.abs(self.traces - 1.0).max())
+
+    @cached_property
+    def min_eigs(self) -> np.ndarray:
+        """Least eigenvalue of the state at each grid point: of the joint
+        state on the master path, by eigvalsh on its diagonal blocks; of the
+        reduced state on the analytic path, whose rho_atom is diagonal, so
+        the smaller population."""
+        if self.states is None:
+            return np.minimum(self.rho_atom[:, 0, 0].real, self.rho_atom[:, 1, 1].real)
+        return _block_min_eigs(self.states, self.support, 2 * (self.fock_cutoff + 1))
 
     def __post_init__(self) -> None:
         if len(self.times) < 2:
@@ -230,7 +241,6 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
         rho_atom_dot=rho_dot,
         fock_cutoff=1,
         traces=pop_e + pop_p,
-        min_eigs=np.minimum(pop_e, pop_p),
         herm_err=0.0,
         conv_dist=0.0,
     )
@@ -449,25 +459,45 @@ def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
     return groups
 
 
-def _block_gates(states: np.ndarray, idx: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(traces, min_eigs) of the (n, dim, dim) stack of exactly Hermitian
+def _group_block(states: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 group: np.ndarray) -> np.ndarray:
+    """The zero-filled (n, k, k) diagonal block on one group of _state_groups
+    of the stack whose vec entries (rows, cols) hold states."""
+    inside = np.isin(rows, group)
+    block = np.zeros((states.shape[0], group.size, group.size), dtype=complex)
+    block[:, np.searchsorted(group, rows[inside]),
+          np.searchsorted(group, cols[inside])] = states[:, inside]
+    return block
+
+
+def _block_gates(states: np.ndarray, idx: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """(traces, worst) of the (n, dim, dim) stack of exactly Hermitian
     matrices whose vec entries idx hold states and whose other entries are
-    zero, per group of _state_groups: only the zero-filled diagonal blocks
-    are formed, and a state in no group contributes an eigenvalue of
-    exactly 0."""
+    zero. worst is gate_min_eig of each group's diagonal block against
+    POSITIVITY_FLOOR, the least over the groups: the least eigenvalue of the
+    stack when that is at or below the floor, else some value above it. The
+    blocks are built, checked and released one at a time; a state in no
+    group contributes an eigenvalue of exactly 0, above the floor."""
     rows, cols = np.divmod(idx, dim)
     traces = states[:, rows == cols].sum(axis=1).real
+    worst = np.inf
+    for group in _state_groups(idx, dim):
+        worst = min(worst, gate_min_eig(_group_block(states, rows, cols, group),
+                                        POSITIVITY_FLOOR))
+    return traces, worst
+
+
+def _block_min_eigs(states: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
+    """The least eigenvalue of each matrix of the stack of _block_gates, from
+    eigvalsh on the diagonal block of each group in turn."""
+    rows, cols = np.divmod(idx, dim)
     groups = _state_groups(idx, dim)
     n = states.shape[0]
     grouped = sum(group.size for group in groups)
     min_eigs = np.zeros(n) if grouped < dim else np.full(n, np.inf)
     for group in groups:
-        inside = np.isin(rows, group)
-        block = np.zeros((n, group.size, group.size), dtype=complex)
-        block[:, np.searchsorted(group, rows[inside]),
-              np.searchsorted(group, cols[inside])] = states[:, inside]
-        min_eigs = np.minimum(min_eigs, eigvalsh(block)[:, 0])
-    return traces, min_eigs
+        min_eigs = np.minimum(min_eigs, eigvalsh(_group_block(states, rows, cols, group))[:, 0])
+    return min_eigs
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -477,8 +507,13 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     Records the reachable entries of the joint state, the reduced atom
     state, and the reduced-state derivative at every grid point. Validates
     physicality (positivity floor -1e-6, checked on the diagonal blocks of
-    the joint state) and reruns the endpoint at cutoff+2 to confirm the
-    truncation converged (trace distance <= 1e-8).
+    the joint state by gate_min_eig: a batched Cholesky factorisation, with
+    eigvalsh only where it fails, so the one possible flip against an exact
+    spectrum is a pass whose least eigenvalue lies within round-off below
+    the floor; non-finite states raise NoConvergence) and reruns the
+    endpoint at cutoff+2 to confirm the truncation converged (trace distance
+    <= 1e-8). The exact min_eigs of the returned trajectory are computed
+    only when read.
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
@@ -497,8 +532,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
     rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
 
-    traces, min_eigs = _block_gates(states, idx, 2 * fock_dim)
-    worst = float(min_eigs.min())
+    traces, worst = _block_gates(states, idx, 2 * fock_dim)
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
@@ -522,7 +556,6 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         rho_atom_dot=rho_atom_dot,
         fock_cutoff=cutoff,
         traces=traces,
-        min_eigs=min_eigs,
         herm_err=0.0,
         conv_dist=conv_dist,
         states=states,

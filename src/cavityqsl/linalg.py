@@ -5,9 +5,11 @@ Matrices are plain complex128 numpy arrays in row-major order. Dimensions
 here never exceed a few dozen, so everything is dense and direct. Hermitian
 spectra of 1x1 and 2x2 slices -- the two-level atom's speed norms and the
 small positivity groups of a quiet master point -- come from the closed
-form; larger slices go to LAPACK. Basis ordering is fixed globally as
-atom-major: index = atom_index * fock_dim + fock_index, with atom index
-0 = excited, 1 = ground.
+form; larger slices go to LAPACK. A positivity gate on larger slices asks
+LAPACK for a Cholesky factorisation first and for the spectrum only when
+that fails. Basis ordering is fixed globally as atom-major:
+index = atom_index * fock_dim + fock_index, with atom index 0 = excited,
+1 = ground.
 """
 
 from __future__ import annotations
@@ -50,6 +52,41 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(w).all():
         raise NoConvergence("Eigenvalues did not converge: non-finite eigenvalues")
     return w
+
+
+def gate_min_eig(m: np.ndarray, floor: float) -> float:
+    """The least eigenvalue over a (n, k, k) stack of Hermitian slices when it
+    is at or below floor; +inf, or the exact least eigenvalue, when it is
+    above floor.
+
+    k <= 2 takes the closed form of eigvalsh. For k >= 3 a batched Cholesky
+    factorisation of m - floor I succeeds exactly when every eigenvalue
+    exceeds floor, at a fraction of eigvalsh's cost; the shift is made in
+    place on the diagonal of m and undone afterwards, so no shifted copy is
+    formed.
+    Only when the factorisation fails does eigvalsh give the exact least
+    eigenvalue, and that value decides: a factorisation that fails by
+    round-off never turns a pass into a fail. The one possible flip against
+    eigvalsh is a pass where the exact least eigenvalue lies within round-off
+    below floor. Non-finite input raises NoConvergence: Cholesky can pass it
+    and LAPACK's eigvalsh can return finite values for a NaN diagonal.
+    """
+    m = np.asarray(m)
+    if not np.isfinite(m).all():
+        raise NoConvergence("Eigenvalues did not converge: non-finite input")
+    k = m.shape[-1]
+    if k >= 3:
+        diag = np.arange(k)
+        saved = m[..., diag, diag]
+        m[..., diag, diag] -= floor
+        try:
+            np.linalg.cholesky(m)
+            return np.inf
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            m[..., diag, diag] = saved
+    return float(eigvalsh(m)[..., 0].min())
 
 
 def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -108,7 +108,7 @@ def _check_axis(prefix: str, variable: str, rng: tuple[float, float, int]) -> No
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point under one engine, CSV-ready plus extra diagnostics."""
+    """One grid point under one engine, one CSV line."""
 
     index: int
     var1: float
@@ -131,14 +131,10 @@ class SweepRow:
     steps: int | None
     trace_err: float | None
     flag: str
-    # not emitted to CSV, used by validation suites
-    min_eig: float | None = None
-    herm_err: float | None = None
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-# The sweep CSV columns, in order: the SweepRow fields up to flag.
-CSV_FIELDS = _ROW_FIELDS[:_ROW_FIELDS.index("flag") + 1]
+# The sweep CSV columns, in order: the SweepRow fields.
+CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(CSV_FIELDS)
 # The speed-limit columns, copied from QslResult by name; frozen becomes the flag.
 _QSL_FIELDS = tuple(f.name for f in fields(QslResult) if f.name != "frozen")
@@ -197,8 +193,7 @@ def engine_row(params: SystemParams, engine: str, index: int, var1: float,
                            "flag": f"error:{type(exc).__name__}"})
     return SweepRow(**common, **{name: getattr(result, name) for name in _QSL_FIELDS},
                     cutoff=traj.fock_cutoff, steps=steps, trace_err=traj.trace_err,
-                    flag="frozen" if result.frozen else "ok",
-                    min_eig=float(traj.min_eigs.min()), herm_err=traj.herm_err)
+                    flag="frozen" if result.frozen else "ok")
 
 
 def evaluate_point(spec: SweepSpec, index: int) -> list[SweepRow]:

@@ -50,27 +50,47 @@ def _verdict(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def standard_sweeps():
+def master_quality():
+    """(min eig, herm err) of every master trajectory the sweep fixtures
+    compute, in the order computed: SweepRow does not carry them."""
+    return []
+
+
+def _recorded_sweep(spec, quality):
+    """run_sweep(spec), appending to quality the min eig and herm err of each
+    master trajectory it computes."""
+    def recording(*args, **kwargs):
+        traj = evolve_master(*args, **kwargs)
+        quality.append((float(traj.min_eigs.min()), traj.herm_err))
+        return traj
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cavityqsl.sweep.evolve_master", recording)
+        return run_sweep(spec)
+
+
+@pytest.fixture(scope="module")
+def standard_sweeps(master_quality):
     """The four single-variable curves, both engines, with wall times."""
     out = {}
     for name, spec in SWEEP_SPECS.items():
         start = time.perf_counter()
-        rows = run_sweep(spec)
+        rows = _recorded_sweep(spec, master_quality)
         out[name] = (spec, rows, time.perf_counter() - start)
     return out
 
 
 @pytest.fixture(scope="module")
-def tilted_sweep():
+def tilted_sweep(master_quality):
     """Detuning sweep restarted from an equal superposition, master only."""
     spec = SweepSpec(variable="delta_a", range=(-10.0, 10.0, 101),
                      base=replace(BASE_DETUNING, alpha=math.pi / 4),
                      constraint_mode="fig2_constrained", engine="master")
-    return spec, run_sweep(spec)
+    return spec, _recorded_sweep(spec, master_quality)
 
 
 @pytest.fixture(scope="module")
-def angle_maps():
+def angle_maps(master_quality):
     """Two-variable grids over the initial angle, for the monotonicity runs."""
     spec_rp = SweepSpec(variable="r_p", range=(0.1, 1.4, 27),
                         base=BASE_SQUEEZE, constraint_mode="fig2_constrained",
@@ -80,12 +100,12 @@ def angle_maps():
                        base=BASE_COUPLING, constraint_mode="fig2_constrained",
                        engine="master", second_variable="alpha",
                        second_range=(0.0, HALF_PI, 13))
-    return {"r_p": (spec_rp, run_sweep(spec_rp)),
-            "g": (spec_g, run_sweep(spec_g))}
+    return {"r_p": (spec_rp, _recorded_sweep(spec_rp, master_quality)),
+            "g": (spec_g, _recorded_sweep(spec_g, master_quality))}
 
 
 @pytest.fixture(scope="module")
-def slice_maps():
+def slice_maps(master_quality):
     """Small maps with alpha in {0, pi/4, pi/2} plus matching 1-D sweeps."""
     out = {}
     for name, big in SWEEP_SPECS.items():
@@ -100,8 +120,8 @@ def slice_maps():
                                   base=replace(big.base, alpha=alpha),
                                   constraint_mode=big.constraint_mode,
                                   engine="master")
-            lines[alpha] = run_sweep(line_spec)
-        out[name] = (run_sweep(map_spec), lines)
+            lines[alpha] = _recorded_sweep(line_spec, master_quality)
+        out[name] = (_recorded_sweep(map_spec, master_quality), lines)
     return out
 
 
@@ -282,12 +302,13 @@ def test_criterion_8_squeezed_mode_spectrum():
 
 
 def test_criterion_9_trajectory_quality(standard_sweeps, tilted_sweep,
-                                        angle_maps, slice_maps):
-    rows = [r for r in _master_rows(standard_sweeps, tilted_sweep, angle_maps,
-                                    slice_maps)]
+                                        angle_maps, slice_maps, master_quality):
+    rows = _master_rows(standard_sweeps, tilted_sweep, angle_maps, slice_maps)
+    # one recorded trajectory per master row, none sampled or dropped
+    assert len(master_quality) == len(rows)
     worst_trace = max(r.trace_err for r in rows)
-    worst_herm = max(r.herm_err for r in rows)
-    worst_eig = min(r.min_eig for r in rows)
+    worst_herm = max(herm for _, herm in master_quality)
+    worst_eig = min(eig for eig, _ in master_quality)
     richardson = 0.0
     for spec in SWEEP_SPECS.values():
         params, _, _ = point_params(spec, spec.range[2] // 2)

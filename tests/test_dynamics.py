@@ -8,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, _complex_form, _diagonal_count,
+from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _block_gates,
+                                _complex_form, _diagonal_count,
                                 _oracle_trajectory, _reachable_block,
                                 _real_form, _rk4_step_matrix, _state_groups,
                                 _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
                                 ode_oracle_coeffs)
-from cavityqsl.errors import (CutoffNotConverged, NumericalError,
+from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
                               PositivityViolated, ValidationError)
-from cavityqsl.linalg import eigvalsh, partial_trace_cavity_stack
+from cavityqsl.linalg import eigvalsh, gate_min_eig, partial_trace_cavity_stack
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
                              matched_reservoir)
+from cavityqsl.qsl import qsl_time
 
 # a point from the constrained detuning sweep, quiet reservoir
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
@@ -413,7 +415,8 @@ def test_richardson_step_halving():
 
 
 def test_unstable_step_raises_positivity():
-    with pytest.raises(PositivityViolated):
+    # the failed gate reports the exact least eigenvalue
+    with pytest.raises(PositivityViolated, match=r"min eigenvalue -1\.944e\+15 below -1\.0e-06"):
         evolve_master(SystemParams(g=1.0, delta_a=300.0), cutoff=2, steps=100)
 
 
@@ -574,3 +577,68 @@ def test_master_point_peak_memory(params, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < limit_mib
+
+
+def hermitian_stack_with_floor(k, least, n=40, slice_at=17, seed=0):
+    """(n, k, k) exactly Hermitian stack whose spectra lie in [0.01, 1]
+    except slice slice_at, whose least eigenvalue is least."""
+    rng = np.random.default_rng(seed + k)
+    spectra = rng.uniform(0.01, 1.0, size=(n, k))
+    spectra[slice_at, rng.integers(k)] = least
+    z = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+    unitary, _ = np.linalg.qr(z)
+    stack = (unitary * spectra[:, None, :]) @ unitary.conj().transpose(0, 2, 1)
+    return 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 11])
+@pytest.mark.parametrize("margin", [1e-3, -1e-3], ids=["below", "above"])
+def test_gate_decides_as_eigvalsh(k, margin):
+    stack = hermitian_stack_with_floor(k, POSITIVITY_FLOOR * (1.0 + margin))
+    before = stack.copy()
+    want = float(eigvalsh(stack)[:, 0].min())
+    got = gate_min_eig(stack, POSITIVITY_FLOOR)
+    assert (want >= POSITIVITY_FLOOR) == (margin < 0)
+    assert (got >= POSITIVITY_FLOOR) == (want >= POSITIVITY_FLOOR)
+    if margin > 0:
+        # a failed gate reports the exact least eigenvalue
+        assert got == want
+    # the in-place diagonal shift is undone
+    assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ["diagonal", "coherence"])
+def test_non_finite_states_are_no_convergence(params, value, entry):
+    traj = evolve_master(params, steps=200)
+    dim = 2 * (traj.fock_cutoff + 1)
+    idx, states = traj.support, traj.states.copy()
+    diagonal = _diagonal_count(idx, dim)
+    if entry == "diagonal":
+        states[150, diagonal - 1] = value
+    else:
+        # an upper entry and its conjugate partner, as a Hermitian state has them
+        end = (idx.size + diagonal) // 2
+        states[150, [diagonal, end]] = value
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
+        _block_gates(states, idx, dim)
+
+
+def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
+    calls = []
+    lapack = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return lapack(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    traj = evolve_master(NOISY)
+    qsl_time(traj)
+    assert calls == []
+    first = traj.min_eigs
+    assert calls == [(DEFAULT_STEPS + 1, 11, 11)] * 2
+    # computed once, then cached
+    assert traj.min_eigs is first
+    assert len(calls) == 2

@@ -21,8 +21,7 @@ def synthetic(rho_atom, rho_atom_dot, tau=1.0):
     return Trajectory(times=np.linspace(0.0, tau, n),
                       rho_atom=np.asarray(rho_atom, dtype=complex),
                       rho_atom_dot=np.asarray(rho_atom_dot, dtype=complex),
-                      fock_cutoff=1, traces=np.ones(n), min_eigs=np.zeros(n),
-                      herm_err=0.0, conv_dist=0.0)
+                      fock_cutoff=1, traces=np.ones(n), herm_err=0.0, conv_dist=0.0)
 
 
 def test_bures_angle_trivial_cases():
