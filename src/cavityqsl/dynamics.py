@@ -246,8 +246,10 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     )
 
 
-def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np.ndarray:
-    """Matrix acting on row-major vectorized states: vec(rho_dot) = L vec(rho).
+def liouvillian_superoperator(ops: ModelOperators,
+                              derived: DerivedParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (rows, cols, values) of the matrix L acting on
+    row-major vectorized states: vec(rho_dot) = L vec(rho).
 
     The squeezed-picture master equation is
     rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
@@ -258,11 +260,17 @@ def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np
     c_k A_k rho B_k: rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k.
     The plain dissipators jump with (A, B) = (o, o†), the two-photon terms
     with (o, o). For row-major vec, vec(A X B) = (A kron B^T) vec(X), so L
-    takes one kron per jump term and two for H_eff, each added through
-    _add_kron so that only products of nonzero factor entries are formed.
+    is one kron per jump term and two for H_eff. No kron and no dense L is
+    formed: _kron_entries lists the products of nonzero factor entries of
+    each kron and _coalesce sums them per position in the order of the
+    krons, from zero, as the dense sum would, so the values are that sum
+    bit for bit. Positions whose sum is exactly zero are dropped, so the
+    entries are the exact nonzero pattern of L, listed in row-major order
+    (strictly increasing rows * D + cols for L of shape (D, D)).
     Built once per trajectory so that time stepping reduces to matrix products.
     """
     dim = ops.hamiltonian.shape[0]
+    size = dim * dim
     eye = np.eye(dim, dtype=complex)
     atom = ops.lindblad_atom
     cav = ops.lindblad_cavity
@@ -273,28 +281,48 @@ def liouvillian_superoperator(ops: ModelOperators, derived: DerivedParams) -> np
              (-derived.m_s, cav_dag, cav_dag),
              (-np.conj(derived.m_s), cav, cav))
     h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
-    super_op = np.zeros((dim * dim, dim * dim), dtype=complex)
-    _add_kron(super_op, -1j * h_eff, eye)
-    _add_kron(super_op, eye, (1j * h_eff.conj().T).T)
-    for c, a, b in jumps:
-        _add_kron(super_op, a, b.T, c)
-    return super_op
+    # a jump term with c == 0 adds only zeros, which leave every sum as it is
+    parts = [_kron_entries(-1j * h_eff, eye, size),
+             _kron_entries(eye, (1j * h_eff.conj().T).T, size)]
+    parts += [_kron_entries(a, b.T, size, c) for c, a, b in jumps if c != 0]
+    keys, values = _coalesce(*(np.concatenate(p) for p in zip(*parts)))
+    rows, cols = np.divmod(keys, size)
+    return rows, cols, values
 
 
-def _add_kron(out: np.ndarray, x: np.ndarray, y: np.ndarray, c: complex | None = None) -> None:
-    """out += c * kron(x, y) (or kron(x, y) when c is None), in place.
+def _kron_entries(x: np.ndarray, y: np.ndarray, size: int,
+                  c: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of c * kron(x, y) (or kron(x, y) when c is None) in a
+    matrix of `size` columns, key = row * size + col.
 
-    Only the products x[i, k] * y[j, l] of nonzero entries are formed and
-    scattered to row i*p + j, column k*q + l for y of shape (p, q); the
-    other entries of the dense kron are exact zeros, so the sum matches the
-    dense one bit for bit.
+    Only the products x[i, k] * y[j, l] of nonzero entries are formed, at
+    row i*p + j and column k*q + l for y of shape (p, q); every other entry
+    of the kron is an exact zero.
     """
     xi, xk = np.nonzero(x)
     yj, yl = np.nonzero(y)
-    rows = (xi[:, None] * y.shape[0] + yj).ravel()
-    cols = (xk[:, None] * y.shape[1] + yl).ravel()
+    keys = np.add.outer(xi * (y.shape[0] * size) + xk * y.shape[1], yj * size + yl).ravel()
     terms = np.multiply.outer(x[xi, xk], y[yj, yl]).ravel()
-    out[rows, cols] += terms if c is None else c * terms
+    return keys, (terms if c is None else c * terms)
+
+
+def _coalesce(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly increasing unique keys and the nonzero sums of their values.
+
+    Each sum starts from zero and adds the values of its key in the order
+    they are listed (a stable sort, then np.add.at, which adds one index at
+    a time), as summing them into a dense zero matrix in that order would.
+    Sums that are exactly zero are dropped with their keys.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(sums, np.cumsum(first) - 1, values[order])
+    nonzero = sums != 0
+    return keys[first][nonzero], sums[nonzero]
 
 
 def initial_state(params: SystemParams, fock_dim: int) -> np.ndarray:
@@ -355,45 +383,52 @@ def _propagate_endpoint(step_matrix: np.ndarray, vec: np.ndarray, steps: int) ->
         power = power @ power
 
 
-def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the True entries of start, where j
-    reaches i when pattern[i, j] is True."""
+def _reachable(rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the True entries of the mask start,
+    where j reaches i when some listed entry has rows == i and cols == j."""
     inside = start.copy()
     frontier = start
     while frontier.any():
-        frontier = pattern[:, frontier].any(axis=1) & ~inside
+        hit = np.zeros_like(inside)
+        hit[rows[frontier[cols]]] = True
+        frontier = hit & ~inside
         inside |= frontier
     return np.flatnonzero(inside)
 
 
-def _reachable_block(params: SystemParams, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L[idx, idx], vec(rho_0)[idx], idx) on the entries of vec(rho) that rho_0 reaches.
+def _reachable_block(params: SystemParams,
+                     cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(L[idx, idx], vec(rho_0)[idx], idx, diagonal) on the entries of vec(rho)
+    that rho_0 reaches, diagonal being how many of them lie on the diagonal.
 
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
-    of the full Liouvillian L, so L[outside, idx] is exactly zero, entries
-    outside idx stay exactly zero, and L[idx, idx] propagates the same
-    linear map as L. It lists the diagonal entries, then the upper entries
-    (i < j), then the matching (j, i) entries, each ascending, the order
-    _real_form reads. A Lindblad L and a Hermitian rho_0 always give a
-    support closed under transposition; any other support raises.
+    of the Liouvillian L, taken from the entries of liouvillian_superoperator
+    by index gathers, so L[outside, idx] is exactly zero, entries outside idx
+    stay exactly zero, and L[idx, idx] propagates the same linear map as L.
+    The block is scattered from those entries; no dense L is formed. idx
+    lists the diagonal entries, then the upper entries (i < j), then the
+    matching (j, i) entries, each ascending, the order _real_form reads. A
+    Lindblad L and a Hermitian rho_0 always give a support closed under
+    transposition; any other support raises.
     """
     dim = 2 * (cutoff + 1)
-    super_op = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    rows, cols, values = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
-    reached = _reachable(super_op != 0, vec != 0)
-    rows, cols = np.divmod(reached, dim)
-    transposed = cols * dim + rows
+    reached = _reachable(rows, cols, vec != 0)
+    state_rows, state_cols = np.divmod(reached, dim)
+    transposed = state_cols * dim + state_rows
     if not np.array_equal(np.sort(transposed), reached):
         raise NumericalError("reachable block is not closed under transposition")
-    upper = rows < cols
-    idx = np.concatenate((reached[rows == cols], reached[upper], transposed[upper]))
-    return super_op[np.ix_(idx, idx)], vec[idx], idx
-
-
-def _diagonal_count(idx: np.ndarray, dim: int) -> int:
-    """How many entries of idx lie on the diagonal of a dim x dim matrix."""
-    rows, cols = np.divmod(idx, dim)
-    return int(np.count_nonzero(rows == cols))
+    diagonal = state_rows == state_cols
+    upper = state_rows < state_cols
+    idx = np.concatenate((reached[diagonal], reached[upper], transposed[upper]))
+    position = np.full(vec.size, -1)
+    position[idx] = np.arange(idx.size)
+    i, j = position[rows], position[cols]
+    inside = (i >= 0) & (j >= 0)
+    generator = np.zeros((idx.size, idx.size), dtype=complex)
+    generator[i[inside], j[inside]] = values[inside]
+    return generator, vec[idx], idx, int(np.count_nonzero(diagonal))
 
 
 def _real_form(generator: np.ndarray, start: np.ndarray,
@@ -446,14 +481,14 @@ def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
     set of states reachable along links from its lowest state. A state with
     no link belongs to no group: its row and column of rho are zero.
     """
-    links = np.zeros((dim, dim), dtype=bool)
-    links.flat[idx] = True
-    left = links.any(axis=1)
+    rows, cols = np.divmod(idx, dim)
+    left = np.zeros(dim, dtype=bool)
+    left[rows] = True
     groups = []
     while left.any():
         seed = np.zeros(dim, dtype=bool)
         seed[np.argmax(left)] = True
-        group = _reachable(links, seed)
+        group = _reachable(rows, cols, seed)
         groups.append(group)
         left[group] = False
     return groups
@@ -523,8 +558,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     n = steps + 1
     fock_dim = cutoff + 1
     h = params.tau / steps
-    generator, start, idx = _reachable_block(params, cutoff)
-    diagonal = _diagonal_count(idx, 2 * fock_dim)
+    generator, start, idx, diagonal = _reachable_block(params, cutoff)
     real_generator, real_start = _real_form(generator, start, diagonal)
     states = _complex_form(
         _propagate(_rk4_step_matrix(real_generator, h), real_start, steps), diagonal)
@@ -538,8 +572,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
 
     # the cutoff+2 rerun needs only its endpoint
-    generator, start, refined_idx = _reachable_block(params, cutoff + 2)
-    diagonal = _diagonal_count(refined_idx, 2 * (fock_dim + 2))
+    generator, start, refined_idx, diagonal = _reachable_block(params, cutoff + 2)
     real_generator, real_start = _real_form(generator, start, diagonal)
     end = _propagate_endpoint(_rk4_step_matrix(real_generator, h), real_start, steps)
     refined = (_trace_map(refined_idx, fock_dim + 2) @ _complex_form(end, diagonal)).reshape(2, 2)

@@ -31,9 +31,12 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     k = 1 gives the real diagonal and k = 2 the closed form
     w = (p+q)/2 -+ hypot((p-q)/2, |b|) with p, q the diagonal and b the
     lower off-diagonal entry, halved before summing so that entries near
-    the float range do not overflow. Other k go to np.linalg.eigvalsh, whose
-    failure is raised as NoConvergence. A non-finite eigenvalue (non-finite
-    input) counts as a failure too.
+    the float range do not overflow; a non-finite entry they read gives a
+    non-finite eigenvalue. Other k go to np.linalg.eigvalsh after a check
+    that every entry is finite, since LAPACK reads only the lower triangle
+    and can return finite eigenvalues for a NaN diagonal; its failure is
+    raised as NoConvergence. A non-finite eigenvalue counts as a failure
+    too.
     """
     m = np.asarray(m)
     k = m.shape[-1] if m.ndim >= 2 and m.shape[-2] == m.shape[-1] else 0
@@ -45,6 +48,8 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
         half = np.hypot(0.5 * p - 0.5 * q, np.abs(m[..., 1, 0]))
         w = np.stack((mean - half, mean + half), axis=-1)
     else:
+        if not np.isfinite(m).all():
+            raise NoConvergence("Eigenvalues did not converge: non-finite input")
         try:
             w = np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
@@ -68,8 +73,8 @@ def gate_min_eig(m: np.ndarray, floor: float) -> float:
     eigenvalue, and that value decides: a factorisation that fails by
     round-off never turns a pass into a fail. The one possible flip against
     eigvalsh is a pass where the exact least eigenvalue lies within round-off
-    below floor. Non-finite input raises NoConvergence: Cholesky can pass it
-    and LAPACK's eigvalsh can return finite values for a NaN diagonal.
+    below floor. Non-finite input raises NoConvergence before the
+    factorisation, which can pass it.
     """
     m = np.asarray(m)
     if not np.isfinite(m).all():

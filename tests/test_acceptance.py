@@ -267,6 +267,15 @@ def test_criterion_6_closed_form_against_oracle():
     _verdict(6, ok, f"max closed-form error {worst:.3e} over 20 draws (limit 1e-8)")
 
 
+def dense_superoperator(ops, derived):
+    """The dense L: the entries of liouvillian_superoperator scattered into zeros."""
+    rows, cols, values = liouvillian_superoperator(ops, derived)
+    size = ops.hamiltonian.shape[0] ** 2
+    dense = np.zeros((size, size), dtype=complex)
+    dense[rows, cols] = values
+    return dense
+
+
 def test_criterion_7_matched_reservoir_cancellation():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -280,8 +289,8 @@ def test_criterion_7_matched_reservoir_cancellation():
         d = derive(p)
         worst = max(worst, abs(d.n_s), abs(d.m_s))
         ops = build_operators(p, cutoff=3)
-        full = liouvillian_superoperator(ops, d)
-        plain = liouvillian_superoperator(
+        full = dense_superoperator(ops, d)
+        plain = dense_superoperator(
             ops, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
                                n_s=0.0, m_s=0j))
         worst_gen = max(worst_gen, float(np.abs(full - plain).max()))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _block_gates,
-                                _complex_form, _diagonal_count,
+                                _coalesce, _complex_form,
                                 _oracle_trajectory, _reachable_block,
                                 _real_form, _rk4_step_matrix, _state_groups,
                                 _trace_map, analytic_coeffs,
@@ -108,6 +108,32 @@ def liouvillian(ops, derived, rho):
     return out
 
 
+def dense_superoperator(ops, derived):
+    """The dense L: the entries of liouvillian_superoperator scattered into zeros."""
+    rows, cols, values = liouvillian_superoperator(ops, derived)
+    size = ops.hamiltonian.shape[0] ** 2
+    dense = np.zeros((size, size), dtype=complex)
+    dense[rows, cols] = values
+    return dense
+
+
+def dense_reachable_block(super_op, vec, dim):
+    """_reachable_block on a dense L and vec(rho_0) of dim x dim states: the
+    closure by boolean products over the D x D nonzero pattern of L, the
+    block by an np.ix_ gather."""
+    pattern = super_op != 0
+    inside = vec != 0
+    frontier = inside
+    while frontier.any():
+        frontier = pattern[:, frontier].any(axis=1) & ~inside
+        inside |= frontier
+    reached = np.flatnonzero(inside)
+    rows, cols = np.divmod(reached, dim)
+    upper = rows < cols
+    idx = np.concatenate((reached[rows == cols], reached[upper], (cols * dim + rows)[upper]))
+    return super_op[np.ix_(idx, idx)], vec[idx], idx, int(np.count_nonzero(rows == cols))
+
+
 def dense_kron_superoperator(ops, derived):
     """liouvillian_superoperator written with dense np.kron products."""
     eye = np.eye(ops.hamiltonian.shape[0], dtype=complex)
@@ -150,7 +176,7 @@ def sequential_master_reference(params, cutoff, steps):
     Returns (rho_full, rho_atom, rho_atom_dot) with the derivative taken as
     L vec(rho) on the full space and both reduced states by partial trace.
     """
-    super_op = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    super_op = dense_superoperator(build_operators(params, cutoff), derive(params))
     fock_dim = cutoff + 1
     dim = 2 * fock_dim
     step_matrix = _rk4_step_matrix(super_op, params.tau / steps)
@@ -329,7 +355,7 @@ def test_superoperator_matches_direct_action():
     ops = build_operators(p, cutoff=2)
     d = derive(p)
     assert abs(d.m_s.imag) > 0  # genuinely complex two-photon term
-    super_op = liouvillian_superoperator(ops, d)
+    super_op = dense_superoperator(ops, d)
     rng = np.random.default_rng(1)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = m + m.conj().T
@@ -345,9 +371,9 @@ def test_matched_reservoir_reduces_to_plain_dissipators():
     p = SystemParams(g=1.0, r_p=0.6, theta_p=1.3, delta_a=0.5, delta_c=1.5,
                      gamma=0.05, kappa=0.02, r_e=0.6, theta_e=math.pi - 1.3)
     ops = build_operators(p, cutoff=3)
-    full = liouvillian_superoperator(ops, derive(p))
+    full = dense_superoperator(ops, derive(p))
     d = derive(p)
-    plain = liouvillian_superoperator(
+    plain = dense_superoperator(
         ops, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
                            n_s=0.0, m_s=0j))
     assert np.abs(full - plain).max() <= 1e-12
@@ -434,15 +460,33 @@ def test_hot_reservoir_needs_headroom():
     (BASE, 2, 5), (TILTED, 2, 9), (NOISY, 10, 242), (NOISY, 12, 338),
     (NEGATIVE_PHASE, 2, 5)])
 def test_reachable_block_is_closed(params, cutoff, size):
-    full = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
-    generator, start, idx = _reachable_block(params, cutoff)
+    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    block = _reachable_block(params, cutoff)
+    idx = block[2]
     assert idx.size == size
     outside = np.setdiff1d(np.arange(full.shape[0]), idx)
     assert (full[np.ix_(outside, idx)] == 0).all()
     vec = initial_state(params, cutoff + 1).reshape(-1)
     assert np.isin(np.flatnonzero(vec), idx).all()
-    assert (vec[outside] == 0).all() and (start == vec[idx]).all()
-    assert (generator == full[np.ix_(idx, idx)]).all()
+    assert (vec[outside] == 0).all()
+    # bit for bit the block taken from the dense L
+    want = dense_reachable_block(full, vec, 2 * (cutoff + 1))
+    assert block[3] == want[3]
+    for got, ref in zip(block[:3], want[:3]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_reachable_block_peak_memory():
+    # the dense L alone is 7.0 MiB at cutoff 12, the 338 x 338 block 1.7 MiB
+    _reachable_block(NOISY, 12)
+    tracemalloc.start()
+    try:
+        _reachable_block(NOISY, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 3.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,9 +497,8 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
                                                            alpha, cutoff):
     params = SystemParams(g=1.0, r_p=r_p, delta_a=0.7, delta_c=1.3, theta_p=theta_p,
                           gamma=0.05, kappa=0.1, r_e=r_e, theta_e=theta_e, alpha=alpha)
-    _, _, idx = _reachable_block(params, cutoff)
+    _, _, idx, diagonal = _reachable_block(params, cutoff)
     dim = 2 * (cutoff + 1)
-    diagonal = _diagonal_count(idx, dim)
     end = (idx.size + diagonal) // 2
     assert idx.size == 2 * end - diagonal
     rows, cols = np.divmod(idx, dim)
@@ -468,9 +511,8 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (BASE, 4), (TILTED, 2), (TILTED, 4),
                                             (NOISY, 10), (NOISY, 12)])
 def test_real_form_reproduces_block(params, cutoff):
-    generator, start, idx = _reachable_block(params, cutoff)
+    generator, start, idx, diagonal = _reachable_block(params, cutoff)
     dim = 2 * (cutoff + 1)
-    diagonal = _diagonal_count(idx, dim)
     real_generator, real_start = _real_form(generator, start, diagonal)
     assert real_generator.dtype == real_start.dtype == np.float64
     assert real_generator.shape == generator.shape
@@ -550,7 +592,30 @@ def test_oracle_matches_sequential_rk4(params):
 def test_superoperator_matches_dense_kron(params, cutoff, extra):
     ops = build_operators(params, cutoff + extra)
     d = derive(params)
-    assert np.array_equal(liouvillian_superoperator(ops, d), dense_kron_superoperator(ops, d))
+    assert np.array_equal(dense_superoperator(ops, d), dense_kron_superoperator(ops, d))
+
+
+@pytest.mark.parametrize("params, cutoff", [(BASE, 2), (TILTED, 4), (NOISY, 10), (NOISY, 12)],
+                         ids=["quiet", "tilted", "noisy", "noisy-refined"])
+def test_superoperator_entries_are_row_major_and_nonzero(params, cutoff):
+    ops = build_operators(params, cutoff)
+    rows, cols, values = liouvillian_superoperator(ops, derive(params))
+    size = ops.hamiltonian.shape[0] ** 2
+    assert rows.shape == cols.shape == values.shape and values.dtype == complex
+    assert (np.diff(rows * size + cols) > 0).all()
+    assert (values != 0).all()
+    assert rows.min() >= 0 and cols.min() >= 0 and max(rows.max(), cols.max()) < size
+
+
+def test_coalesce_sums_in_listed_order_and_drops_zeros():
+    keys = np.array([7, 3, 7, 7, 3, 1])
+    values = np.array([1.0, 2.0, 1e16, -1e16, -2.0, 5j])
+    got_keys, sums = _coalesce(keys, values)
+    # key 7 sums (0 + 1) + 1e16 - 1e16 = 0 and key 3 sums to 0: both dropped
+    assert np.array_equal(got_keys, [1]) and np.array_equal(sums, [5j])
+    # listed the other way round, key 7 sums (0 - 1e16) + 1e16 + 1 = 1
+    got_keys, sums = _coalesce(keys, np.array([-1e16, 2.0, 1e16, 1.0, -2.0, 5j]))
+    assert np.array_equal(got_keys, [1, 7]) and np.array_equal(sums, [5j, 1.0])
 
 
 @pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11])],
@@ -614,7 +679,8 @@ def test_non_finite_states_are_no_convergence(params, value, entry):
     traj = evolve_master(params, steps=200)
     dim = 2 * (traj.fock_cutoff + 1)
     idx, states = traj.support, traj.states.copy()
-    diagonal = _diagonal_count(idx, dim)
+    rows, cols = np.divmod(idx, dim)
+    diagonal = np.count_nonzero(rows == cols)
     if entry == "diagonal":
         states[150, diagonal - 1] = value
     else:

@@ -100,6 +100,19 @@ def test_eigvalsh_nan_input_is_no_convergence(dim):
         eigvalsh(np.full((4, dim, dim), np.nan, dtype=complex))
 
 
+@pytest.mark.parametrize("dim", [3, 11])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "imag-nan"])
+@pytest.mark.parametrize("entry", ["diagonal", "upper"])
+def test_eigvalsh_non_finite_entry_is_no_convergence(dim, value, entry):
+    # LAPACK reads only the lower triangle and can return finite eigenvalues
+    # for a NaN on the diagonal
+    m = np.tile(np.eye(dim, dtype=complex), (4, 1, 1))
+    m[2, 0, 0 if entry == "diagonal" else dim - 1] = value
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
+        eigvalsh(m)
+
+
 def test_norms_three_four_five():
     # diag(3, -4): op 4, trace 7, hs 5
     op, tr, hs = norms_of_hermitian_stack(np.diag([3.0, -4.0])[None])
