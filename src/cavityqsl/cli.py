@@ -24,7 +24,7 @@ from .dynamics import (DEFAULT_STEPS, analytic_coeffs, evolve_master,
                        ode_oracle_coeffs)
 from .errors import NumericalError, ValidationError
 from .linalg import norms_of_hermitian_stack
-from .model import SystemParams, derive, matched_reservoir
+from .model import SystemParams, check_cutoff, derive, matched_reservoir
 from .sweep import (ENGINES, SweepSpec, engine_row, engines_of, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
 
@@ -131,6 +131,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_qsl(args: argparse.Namespace) -> int:
+    check_cutoff(args.cutoff)
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
     with _out_stream(args.out) as stream:
         rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,11 +77,11 @@ class Trajectory:
     then the matching (j, i) entries, each ascending, and the last group
     holds the exact conjugates of the second. states and support are None
     on the analytic path (the closed form never builds the joint density
-    matrix). traces and min_eigs are per-step diagnostics; herm_err and
-    conv_dist summarize the whole run. herm_err is exactly 0.0 on both
-    paths: the master states are rebuilt from real coordinates, so they are
-    Hermitian by construction. min_eigs is computed on first read and
-    cached, since the positivity gate of the master path does not need it.
+    matrix). traces and min_eigs are per-step diagnostics and conv_dist
+    summarizes the whole run. The master states are rebuilt from real
+    coordinates, so they are exactly Hermitian and no hermiticity error is
+    kept. min_eigs is computed on first read and cached, since the
+    positivity gate of the master path does not need it.
     """
 
     times: np.ndarray
@@ -88,7 +89,6 @@ class Trajectory:
     rho_atom_dot: np.ndarray
     fock_cutoff: int
     traces: np.ndarray
-    herm_err: float
     conv_dist: float
     states: np.ndarray | None = None
     support: np.ndarray | None = None
@@ -100,12 +100,20 @@ class Trajectory:
     @cached_property
     def min_eigs(self) -> np.ndarray:
         """Least eigenvalue of the state at each grid point: of the joint
-        state on the master path, by eigvalsh on its diagonal blocks; of the
-        reduced state on the analytic path, whose rho_atom is diagonal, so
-        the smaller population."""
+        state on the master path, by eigvalsh on each of its _group_blocks;
+        of the reduced state on the analytic path, whose rho_atom is
+        diagonal, so the smaller population."""
         if self.states is None:
             return np.minimum(self.rho_atom[:, 0, 0].real, self.rho_atom[:, 1, 1].real)
-        return _block_min_eigs(self.states, self.support, 2 * (self.fock_cutoff + 1))
+        dim = 2 * (self.fock_cutoff + 1)
+        blocks = _group_blocks(self.states, self.support, dim,
+                               lambda block: eigvalsh(block)[:, 0])
+        # a state in no group has a zero row and column, so an eigenvalue 0
+        grouped = sum(group.size for group, _ in blocks)
+        min_eigs = np.zeros(len(self.times)) if grouped < dim else np.full(len(self.times), np.inf)
+        for _, least in blocks:
+            min_eigs = np.minimum(min_eigs, least)
+        return min_eigs
 
     def __post_init__(self) -> None:
         if len(self.times) < 2:
@@ -241,7 +249,6 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
         rho_atom_dot=rho_dot,
         fock_cutoff=1,
         traces=pop_e + pop_p,
-        herm_err=0.0,
         conv_dist=0.0,
     )
 
@@ -472,67 +479,35 @@ def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
     return trace_map
 
 
-def _state_groups(idx: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Groups of basis states over which a rho supported on vec entries idx is
-    block diagonal.
+def _group_blocks(states: np.ndarray, idx: np.ndarray, dim: int,
+                  reduce: Callable[[np.ndarray], object]) -> list[tuple[np.ndarray, object]]:
+    """(group, reduce(block)) for each group of basis states over which the
+    (n, dim, dim) stack of matrices whose vec entries idx hold states, all
+    others being zero, is block diagonal; block is the zero-filled (n, k, k)
+    diagonal block on the k states of group.
 
     idx is closed under transposition (see _reachable_block), so states i
     and j are linked when entry (i, j) is in idx; each group is the sorted
-    set of states reachable along links from its lowest state. A state with
-    no link belongs to no group: its row and column of rho are zero.
+    set of states _reachable along links from its lowest state not yet
+    grouped, and its entries are placed through a state -> local position
+    table. A state with no link belongs to no group: its row and column are
+    zero. Each block is reduced and released before the next is built.
     """
     rows, cols = np.divmod(idx, dim)
     left = np.zeros(dim, dtype=bool)
     left[rows] = True
-    groups = []
+    out = []
     while left.any():
-        seed = np.zeros(dim, dtype=bool)
-        seed[np.argmax(left)] = True
-        group = _reachable(rows, cols, seed)
-        groups.append(group)
+        group = _reachable(rows, cols, np.arange(dim) == np.argmax(left))
         left[group] = False
-    return groups
-
-
-def _group_block(states: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 group: np.ndarray) -> np.ndarray:
-    """The zero-filled (n, k, k) diagonal block on one group of _state_groups
-    of the stack whose vec entries (rows, cols) hold states."""
-    inside = np.isin(rows, group)
-    block = np.zeros((states.shape[0], group.size, group.size), dtype=complex)
-    block[:, np.searchsorted(group, rows[inside]),
-          np.searchsorted(group, cols[inside])] = states[:, inside]
-    return block
-
-
-def _block_gates(states: np.ndarray, idx: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """(traces, worst) of the (n, dim, dim) stack of exactly Hermitian
-    matrices whose vec entries idx hold states and whose other entries are
-    zero. worst is gate_min_eig of each group's diagonal block against
-    POSITIVITY_FLOOR, the least over the groups: the least eigenvalue of the
-    stack when that is at or below the floor, else some value above it. The
-    blocks are built, checked and released one at a time; a state in no
-    group contributes an eigenvalue of exactly 0, above the floor."""
-    rows, cols = np.divmod(idx, dim)
-    traces = states[:, rows == cols].sum(axis=1).real
-    worst = np.inf
-    for group in _state_groups(idx, dim):
-        worst = min(worst, gate_min_eig(_group_block(states, rows, cols, group),
-                                        POSITIVITY_FLOOR))
-    return traces, worst
-
-
-def _block_min_eigs(states: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
-    """The least eigenvalue of each matrix of the stack of _block_gates, from
-    eigvalsh on the diagonal block of each group in turn."""
-    rows, cols = np.divmod(idx, dim)
-    groups = _state_groups(idx, dim)
-    n = states.shape[0]
-    grouped = sum(group.size for group in groups)
-    min_eigs = np.zeros(n) if grouped < dim else np.full(n, np.inf)
-    for group in groups:
-        min_eigs = np.minimum(min_eigs, eigvalsh(_group_block(states, rows, cols, group))[:, 0])
-    return min_eigs
+        local = np.full(dim, -1)
+        local[group] = np.arange(group.size)
+        inside = local[rows] >= 0
+        block = np.zeros((states.shape[0], group.size, group.size), dtype=complex)
+        block[:, local[rows[inside]], local[cols[inside]]] = states[:, inside]
+        out.append((group, reduce(block)))
+        del block
+    return out
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -540,15 +515,17 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     """Fixed-step RK4 integration of the master equation over [0, tau].
 
     Records the reachable entries of the joint state, the reduced atom
-    state, and the reduced-state derivative at every grid point. Validates
-    physicality (positivity floor -1e-6, checked on the diagonal blocks of
-    the joint state by gate_min_eig: a batched Cholesky factorisation, with
-    eigvalsh only where it fails, so the one possible flip against an exact
-    spectrum is a pass whose least eigenvalue lies within round-off below
-    the floor; non-finite states raise NoConvergence) and reruns the
-    endpoint at cutoff+2 to confirm the truncation converged (trace distance
-    <= 1e-8). The exact min_eigs of the returned trajectory are computed
-    only when read.
+    state, and the reduced-state derivative at every grid point, and the
+    trace as the sum of the reachable diagonal entries. Validates
+    physicality (positivity floor -1e-6, checked in one pass over the
+    _group_blocks of the joint state before the reduced states are formed,
+    each by gate_min_eig: a batched
+    Cholesky factorisation, with eigvalsh only where it fails, so the one
+    possible flip against an exact spectrum is a pass whose least
+    eigenvalue lies within round-off below the floor; non-finite states
+    raise NoConvergence) and reruns the endpoint at cutoff+2 to confirm the
+    truncation converged (trace distance <= 1e-8). The exact min_eigs of
+    the returned trajectory are computed only when read.
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
@@ -562,14 +539,16 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     real_generator, real_start = _real_form(generator, start, diagonal)
     states = _complex_form(
         _propagate(_rk4_step_matrix(real_generator, h), real_start, steps), diagonal)
-    trace_map = _trace_map(idx, fock_dim)
-    rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
-    rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
-
-    traces, worst = _block_gates(states, idx, 2 * fock_dim)
+    dim = 2 * fock_dim
+    traces = states[:, idx // dim == idx % dim].sum(axis=1).real
+    worst = min(least for _, least in _group_blocks(
+        states, idx, dim, lambda block: gate_min_eig(block, POSITIVITY_FLOOR)))
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
+    trace_map = _trace_map(idx, fock_dim)
+    rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
+    rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
 
     # the cutoff+2 rerun needs only its endpoint
     generator, start, refined_idx, diagonal = _reachable_block(params, cutoff + 2)
@@ -589,7 +568,6 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         rho_atom_dot=rho_atom_dot,
         fock_cutoff=cutoff,
         traces=traces,
-        herm_err=0.0,
         conv_dist=conv_dist,
         states=states,
         support=idx,

@@ -154,6 +154,12 @@ def default_cutoff(derived: DerivedParams) -> int:
     return NOISY_CUTOFF
 
 
+def check_cutoff(cutoff: int | None) -> None:
+    """The one rule on a Fock cutoff: at least 1 (None picks default_cutoff)."""
+    if cutoff is not None and cutoff < 1:
+        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+
+
 def annihilation(fock_dim: int) -> np.ndarray:
     """Truncated annihilation operator, a|n> = sqrt(n)|n-1>."""
     a = np.zeros((fock_dim, fock_dim), dtype=complex)
@@ -168,8 +174,7 @@ def build_operators(params: SystemParams, cutoff: int) -> ModelOperators:
     H = delta_a P_e (x) I + delta_s I (x) n + g_s (raise (x) a + lower (x) a†)
     with P_e the excited-state projector. Atom-major ordering, excited first.
     """
-    if cutoff < 1:
-        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    check_cutoff(cutoff)
     d = derive(params)
     fock_dim = cutoff + 1
     a = annihilation(fock_dim)

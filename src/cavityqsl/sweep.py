@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import (DEFAULT_STEPS, MIN_STEPS, Trajectory, analytic_trajectory,
                        evolve_master)
 from .errors import NumericalError, ValidationError
-from .model import SystemParams, derive, matched_reservoir
+from .model import SystemParams, check_cutoff, derive, matched_reservoir
 from .model import default_cutoff  # unused: the benchmark tracer wraps this name
 from .qsl import QslResult, qsl_time
 
@@ -69,8 +69,7 @@ class SweepSpec:
                 "delta_c" in (self.variable, self.second_variable):
             raise ValidationError(
                 "fig2_constrained recomputes delta_c; sweep it in 'free' mode")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValidationError(f"cutoff must be >= 1, got {self.cutoff}")
+        check_cutoff(self.cutoff)
         if self.steps < MIN_STEPS:
             raise ValidationError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
 
@@ -206,12 +205,14 @@ def evaluate_point(spec: SweepSpec, index: int) -> list[SweepRow]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid, rows in grid order.
 
-    workers > 1 distributes points over processes; each point is computed
-    independently, so the result is bit-identical to the sequential run.
+    workers > 1 distributes points over processes, never more processes
+    than points; each point is computed independently, so the result is
+    bit-identical to the sequential run.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     indices = range(spec.points_total)  # builds, and so checks, the whole grid first
+    workers = min(workers, spec.points_total)
     if workers == 1:
         nested = [evaluate_point(spec, i) for i in indices]
     else:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _block_gates,
-                                _coalesce, _complex_form,
+from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _coalesce,
+                                _complex_form, _group_blocks,
                                 _oracle_trajectory, _reachable_block,
-                                _real_form, _rk4_step_matrix, _state_groups,
+                                _real_form, _rk4_step_matrix,
                                 _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
@@ -383,10 +383,11 @@ def test_master_trajectory_physicality():
     traj = evolve_master(BASE, steps=500)
     assert traj.fock_cutoff == 2
     assert traj.trace_err <= 1e-9
-    assert traj.herm_err <= 1e-10
+    rho = joint_states(traj)
+    assert np.abs(rho - rho.conj().transpose(0, 2, 1)).max() <= 1e-10
     assert traj.min_eigs.min() >= -1e-9
     assert traj.conv_dist <= 1e-8
-    assert joint_states(traj).shape == (501, 6, 6)
+    assert rho.shape == (501, 6, 6)
 
 
 def test_master_stays_in_single_excitation_sector():
@@ -546,7 +547,6 @@ def test_master_states_are_exactly_hermitian(params):
     traj = evolve_master(params)
     rho = joint_states(traj)
     assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
-    assert traj.herm_err == 0.0
 
 
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
@@ -618,16 +618,28 @@ def test_coalesce_sums_in_listed_order_and_drops_zeros():
     assert np.array_equal(got_keys, [1, 7]) and np.array_equal(sums, [5j, 1.0])
 
 
-@pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11])],
-                         ids=["quiet", "tilted", "noisy"])
-def test_block_gates_match_padded_stack(params, sizes):
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_block_gates_match_padded_stack(params):
     traj = evolve_master(params)
-    dim = 2 * (traj.fock_cutoff + 1)
-    assert [g.size for g in _state_groups(traj.support, dim)] == sizes
     traces, min_eigs, herm_err = padded_gates(joint_states(traj))
     assert np.array_equal(traj.traces, traces)
-    assert traj.herm_err == herm_err
+    assert herm_err == 0.0
     assert np.abs(traj.min_eigs - min_eigs).max() <= 1e-15
+
+
+@pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11])],
+                         ids=["quiet", "tilted", "noisy"])
+def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes):
+    traj = evolve_master(params)
+    dim = 2 * (traj.fock_cutoff + 1)
+    rho = joint_states(traj)
+    blocks = _group_blocks(traj.states, traj.support, dim, lambda block: block)
+    assert [group.size for group, _ in blocks] == sizes
+    for group, block in blocks:
+        assert np.array_equal(block, rho[:, group[:, None], group])
+    # every state off the groups has a zero row and column
+    off = np.setdiff1d(np.arange(dim), np.concatenate([g for g, _ in blocks]))
+    assert not rho[:, off].any() and not rho[:, :, off].any()
 
 
 @pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (NOISY, 25.0)],
@@ -688,7 +700,7 @@ def test_non_finite_states_are_no_convergence(params, value, entry):
         end = (idx.size + diagonal) // 2
         states[150, [diagonal, end]] = value
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
-        _block_gates(states, idx, dim)
+        _group_blocks(states, idx, dim, lambda block: gate_min_eig(block, POSITIVITY_FLOOR))
 
 
 def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):

@@ -175,6 +175,29 @@ def test_run_sweep_rejects_bad_worker_count():
         run_sweep(small_spec(), workers=0)
 
 
+def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
+    # an inline stand-in for the pool records its size and starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cavityqsl.sweep, "ProcessPoolExecutor", InlinePool)
+    pooled = run_sweep(small_spec(), workers=64)
+    assert sizes == [3]
+    assert [format_row(r) for r in pooled] == [format_row(r) for r in run_sweep(small_spec())]
+
+
 def test_grid_is_checked_before_the_first_point(monkeypatch, capsys):
     # r_p = 10 (the last of three points) is past threshold; no point may run
     calls = []
@@ -522,7 +545,9 @@ def test_nan_state_is_an_error_row_not_frozen(tmp_path):
     (["qsl", "--r_e", "400", "--engine", "analytic"], "r_e must be <="),
     (["evolve", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
     (["qsl", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
-], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "qsl_cutoff"])
+    (["qsl", "--engine", "analytic", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "qsl_cutoff",
+        "qsl_analytic_cutoff"])
 def test_out_of_range_input_exits_1(command, message, capsys):
     assert cli_main(command) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
