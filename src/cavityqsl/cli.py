@@ -6,7 +6,8 @@ Subcommands:
   sweep   run a sweep from a config file and/or flags
   check   seeded self-test of the core invariants
 
-Exit codes: 0 success, 1 invalid input or config, 2 numerical failure.
+Exit codes: 0 success, 1 invalid input or config (or output closed early,
+or out of memory), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import IO, Callable, Iterator, NoReturn, Sequence
@@ -159,6 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def run_checks(seed: int) -> list[tuple[str, bool, str]]:
     """Fast invariant suite; every entry is (name, passed, detail)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 
@@ -258,7 +262,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone; send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the run finished", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -262,45 +262,44 @@ def liouvillian_superoperator(ops: ModelOperators,
     rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
     - m_s Dp(L_cav†) - m_s* Dp(L_cav) } rho, with D(o)r = o†or - 2oro† + ro†o
     and Dp(o)r = oor - 2oro + roo; with n_s = m_s = 0 only the two plain
-    dissipators survive. L is written through the effective non-Hermitian
-    Hamiltonian H_eff = H - (i/2) sum_k c_k B_k A_k of the jump terms
-    c_k A_k rho B_k: rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k.
-    The plain dissipators jump with (A, B) = (o, o†), the two-photon terms
-    with (o, o). For row-major vec, vec(A X B) = (A kron B^T) vec(X), so L
-    is one kron per jump term and two for H_eff. No kron and no dense L is
-    formed: _kron_entries lists the products of nonzero factor entries of
-    each kron and _coalesce sums them per position in the order of the
-    krons, from zero, as the dense sum would, so the values are that sum
-    bit for bit. Positions whose sum is exactly zero are dropped, so the
-    entries are the exact nonzero pattern of L, listed in row-major order
-    (strictly increasing rows * D + cols for L of shape (D, D)).
-    Built once per trajectory so that time stepping reduces to matrix products.
+    dissipators survive. In jump terms c_k A_k rho B_k, with (A, B) = (o, o†)
+    for a plain dissipator and (o, o) for a two-photon one, this is
+    rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k with the
+    effective Hamiltonian H_eff = H - (i/2) sum_k c_k B_k A_k. One list holds
+    the jump terms with c_k != 0 (the others add only zeros) and, in front,
+    the H_eff terms (1, -i H_eff, I) and (1, I, i H_eff†). For row-major vec,
+    vec(A X B) = (A kron B^T) vec(X), so L is one kron per listed term. No
+    kron and no dense L is formed: _kron_entries lists the products of
+    nonzero factor entries of each kron and _coalesce sums them per position
+    in list order, from zero, as the dense sum would, so the values are that
+    sum bit for bit. Positions whose sum is exactly zero are dropped, so the
+    entries are the exact nonzero pattern of L in row-major order (strictly
+    increasing rows * D + cols for L of shape (D, D)). Built once per
+    trajectory so that time stepping reduces to matrix products.
     """
     dim = ops.hamiltonian.shape[0]
     size = dim * dim
-    eye = np.eye(dim, dtype=complex)
     atom = ops.lindblad_atom
     cav = ops.lindblad_cavity
     cav_dag = cav.conj().T
-    jumps = ((1.0, atom, atom.conj().T),
-             (derived.n_s + 1.0, cav, cav_dag),
-             (derived.n_s, cav_dag, cav),
-             (-derived.m_s, cav_dag, cav_dag),
-             (-np.conj(derived.m_s), cav, cav))
+    jumps = [(c, a, b) for c, a, b in ((1.0, atom, atom.conj().T),
+                                       (derived.n_s + 1.0, cav, cav_dag),
+                                       (derived.n_s, cav_dag, cav),
+                                       (-derived.m_s, cav_dag, cav_dag),
+                                       (-np.conj(derived.m_s), cav, cav)) if c != 0]
     h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
-    # a jump term with c == 0 adds only zeros, which leave every sum as it is
-    parts = [_kron_entries(-1j * h_eff, eye, size),
-             _kron_entries(eye, (1j * h_eff.conj().T).T, size)]
-    parts += [_kron_entries(a, b.T, size, c) for c, a, b in jumps if c != 0]
+    eye = np.eye(dim, dtype=complex)
+    terms = [(1.0, -1j * h_eff, eye), (1.0, eye, 1j * h_eff.conj().T), *jumps]
+    parts = [_kron_entries(c, a, b.T, size) for c, a, b in terms]
     keys, values = _coalesce(*(np.concatenate(p) for p in zip(*parts)))
     rows, cols = np.divmod(keys, size)
     return rows, cols, values
 
 
-def _kron_entries(x: np.ndarray, y: np.ndarray, size: int,
-                  c: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, values) of c * kron(x, y) (or kron(x, y) when c is None) in a
-    matrix of `size` columns, key = row * size + col.
+def _kron_entries(c: complex, x: np.ndarray, y: np.ndarray,
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of c * kron(x, y) in a matrix of `size` columns,
+    key = row * size + col.
 
     Only the products x[i, k] * y[j, l] of nonzero entries are formed, at
     row i*p + j and column k*q + l for y of shape (p, q); every other entry
@@ -309,8 +308,7 @@ def _kron_entries(x: np.ndarray, y: np.ndarray, size: int,
     xi, xk = np.nonzero(x)
     yj, yl = np.nonzero(y)
     keys = np.add.outer(xi * (y.shape[0] * size) + xk * y.shape[1], yj * size + yl).ravel()
-    terms = np.multiply.outer(x[xi, xk], y[yj, yl]).ravel()
-    return keys, (terms if c is None else c * terms)
+    return keys, c * np.multiply.outer(x[xi, xk], y[yj, yl]).ravel()
 
 
 def _coalesce(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

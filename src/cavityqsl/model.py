@@ -90,7 +90,6 @@ class ModelOperators:
     hamiltonian: np.ndarray
     lindblad_atom: np.ndarray    # sqrt(gamma) * lowering (x) identity
     lindblad_cavity: np.ndarray  # sqrt(kappa) * identity (x) annihilation
-    fock_cutoff: int
 
 
 def squeeze_params(omega_p_amplitude: float, delta_c: float) -> float:
@@ -190,7 +189,6 @@ def build_operators(params: SystemParams, cutoff: int) -> ModelOperators:
         hamiltonian=h,
         lindblad_atom=math.sqrt(params.gamma) * kron(lower_op, eye_fock),
         lindblad_cavity=math.sqrt(params.kappa) * kron(eye_atom, a),
-        fock_cutoff=cutoff,
     )
 
 

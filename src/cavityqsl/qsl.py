@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import NotPure, NumericalError, ValidationError
+from .errors import NotPure, NumericalError
 from .linalg import norms_of_hermitian_stack
 
 PURITY_TOL = 1e-9
@@ -22,7 +22,8 @@ FIDELITY_OVERSHOOT = 1e-9
 
 # Average rates at or below this are round-off from a state that never
 # moved; the ratio sin^2/rate is then 0/0 and the limit is zero by
-# convention. Real dynamics in these units sits many orders above.
+# convention. Real dynamics in these units sits many orders above. A state
+# that ends at a Bures angle of exactly 0 counts as frozen at any rate.
 FROZEN_RATE = 1e-15
 
 
@@ -61,8 +62,6 @@ def bures_angle(rho0_pure: np.ndarray, rho_t: np.ndarray) -> float:
 
 def lambda_averages(traj: Trajectory) -> tuple[float, float, float]:
     """Trapezoidal time averages of the three norms of the state derivative."""
-    if len(traj.times) < 2:
-        raise ValidationError(f"need >= 2 grid points, got {len(traj.times)}")
     op, tr, hs = norms_of_hermitian_stack(traj.rho_atom_dot)
     span = float(traj.times[-1] - traj.times[0])
     return tuple(float(np.trapezoid(series, traj.times) / span) for series in (op, tr, hs))
@@ -71,19 +70,13 @@ def lambda_averages(traj: Trajectory) -> tuple[float, float, float]:
 def qsl_time(traj: Trajectory) -> QslResult:
     """Speed-limit candidates and the unified bound for one trajectory.
 
-    Frozen dynamics (all average rates at round-off level) reports zero with
-    the frozen flag set rather than dividing 0 by 0.
+    Frozen dynamics (a Bures angle of exactly 0, or all average rates at
+    round-off level) reports zero times with the frozen flag set rather than
+    dividing 0 by a round-off rate or by 0.
     """
     angle = bures_angle(traj.rho_atom[0], traj.rho_atom[-1])
-    lam_op, lam_tr, lam_hs = lambda_averages(traj)
-    if lam_tr <= FROZEN_RATE:
-        return QslResult(bures=angle, lambda_op=lam_op, lambda_tr=lam_tr,
-                         lambda_hs=lam_hs, t_op=0.0, t_tr=0.0, t_hs=0.0,
-                         t_qsl=0.0, frozen=True)
+    rates = lambda_averages(traj)
+    frozen = angle == 0.0 or rates[1] <= FROZEN_RATE
     moved = float(np.sin(angle) ** 2)
-    t_op = moved / lam_op
-    t_tr = moved / lam_tr
-    t_hs = moved / lam_hs
-    return QslResult(bures=angle, lambda_op=lam_op, lambda_tr=lam_tr,
-                     lambda_hs=lam_hs, t_op=t_op, t_tr=t_tr, t_hs=t_hs,
-                     t_qsl=max(t_op, t_tr, t_hs))
+    times = [0.0 if frozen else moved / rate for rate in rates]
+    return QslResult(angle, *rates, *times, t_qsl=max(times), frozen=frozen)

@@ -86,10 +86,6 @@ class SweepSpec:
             points.append((params, var1, var2))
         return tuple(points)
 
-    @property
-    def points_total(self) -> int:
-        return len(self.points)
-
 
 def _check_axis(prefix: str, variable: str, rng: tuple[float, float, int]) -> None:
     """One swept axis: `{prefix}variable` and its `{prefix}range`."""
@@ -169,8 +165,8 @@ def _apply_fig2_constraint(params: SystemParams, base: SystemParams,
 
 def point_params(spec: SweepSpec, index: int) -> tuple[SystemParams, float, float | None]:
     """Parameters and swept values for one grid index."""
-    if not 0 <= index < spec.points_total:
-        raise ValidationError(f"index {index} outside grid of {spec.points_total}")
+    if not 0 <= index < len(spec.points):
+        raise ValidationError(f"index {index} outside grid of {len(spec.points)}")
     return spec.points[index]
 
 
@@ -211,12 +207,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    indices = range(spec.points_total)  # builds, and so checks, the whole grid first
-    workers = min(workers, spec.points_total)
+    indices = range(len(spec.points))  # builds, and so checks, the whole grid first
+    workers = min(workers, len(indices))
     if workers == 1:
         nested = [evaluate_point(spec, i) for i in indices]
     else:
-        chunk = max(1, spec.points_total // (4 * workers))
+        chunk = max(1, len(indices) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(partial(evaluate_point, spec), indices,
                                    chunksize=chunk))

@@ -168,7 +168,6 @@ def test_lindblad_operators():
     # cavity jump moves |x,1> to |x,0> with weight sqrt(kappa)
     assert ops.lindblad_cavity[0, 1] == pytest.approx(math.sqrt(0.09))
     assert ops.lindblad_cavity[4, 5] == pytest.approx(math.sqrt(0.09) * math.sqrt(2))
-    assert ops.fock_cutoff == 2
 
 
 def test_build_operators_rejects_bad_cutoff():

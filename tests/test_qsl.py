@@ -95,6 +95,18 @@ def test_qsl_time_frozen_flow():
     assert out.lambda_tr <= FROZEN_RATE
 
 
+def test_zero_angle_is_frozen_above_the_round_off_rate():
+    # the state ends where it started, but its rate average (2e-15 in the
+    # trace norm) sits above FROZEN_RATE, as at an alpha = pi/2 start
+    n = 6
+    noise = np.diag([1e-15, -1e-15]).astype(complex)
+    out = qsl_time(synthetic([P_EXCITED] * n, [noise] * n))
+    assert out.bures == 0.0
+    assert out.lambda_tr == pytest.approx(2e-15, rel=1e-12) and out.lambda_tr > FROZEN_RATE
+    assert out.frozen
+    assert (out.t_op, out.t_tr, out.t_hs, out.t_qsl) == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_trajectory_needs_two_points():
     with pytest.raises(ValidationError, match="need >= 2 grid points"):
         synthetic([P_EXCITED], [np.zeros((2, 2), dtype=complex)])

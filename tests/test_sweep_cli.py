@@ -67,9 +67,9 @@ def test_spec_rejects_constrained_cavity_detuning_sweep():
 
 
 def test_points_total():
-    assert small_spec().points_total == 3
-    assert small_spec(second_variable="alpha",
-                      second_range=(0.0, 1.0, 4)).points_total == 12
+    assert len(small_spec().points) == 3
+    assert len(small_spec(second_variable="alpha",
+                          second_range=(0.0, 1.0, 4)).points) == 12
 
 
 # ---- grids and constraint application ----
@@ -128,9 +128,9 @@ def test_point_params_two_dimensional_index_order():
     small_spec(), small_spec(second_variable="alpha", second_range=(0.0, 1.0, 2))],
     ids=["1d", "2d"])
 def test_point_params_rejects_indices_outside_the_grid(spec):
-    for index in (-1, spec.points_total):
+    for index in (-1, len(spec.points)):
         with pytest.raises(ValidationError, match=f"index {index} outside grid of "
-                                                  f"{spec.points_total}"):
+                                                  f"{len(spec.points)}"):
             point_params(spec, index)
 
 
@@ -441,6 +441,34 @@ def test_python_m_runs_the_cli(module):
     assert bad.stderr.startswith("error: ")
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # 300 analytic rows are about 100 KB, more than a pipe buffer holds, so
+    # the writer meets the closed pipe while it still has rows to write
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "cavityqsl", "sweep", "--variable", "delta_a",
+                           "--range=-1,1,300", "--engine", "analytic"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().decode().strip() == CSV_HEADER
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: output closed before the run finished\n"
+
+
+def test_failed_allocation_exits_1(monkeypatch, capsys):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+    monkeypatch.setattr(cli, "evolve_master", too_big)
+    assert cli_main(["evolve", "--steps", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
+    assert captured.out == ""
+
+
 def test_cli_exit_code_for_numerical_failure(tmp_path):
     code = cli_main(["qsl", "--r_e", "0.25", "--kappa", "0.3", "--tau", "2.0",
                      "--cutoff", "1", "--steps", "400",
@@ -546,8 +574,9 @@ def test_nan_state_is_an_error_row_not_frozen(tmp_path):
     (["evolve", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
     (["qsl", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
     (["qsl", "--engine", "analytic", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+    (["check", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "qsl_cutoff",
-        "qsl_analytic_cutoff"])
+        "qsl_analytic_cutoff", "check_seed"])
 def test_out_of_range_input_exits_1(command, message, capsys):
     assert cli_main(command) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
