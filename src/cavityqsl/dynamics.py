@@ -11,9 +11,12 @@ Two independent routes to the same physics:
   entries, its upper entries (i < j) and the matching (j, i) entries, so a
   Hermitian rho on it has exactly as many real coordinates as entries:
   the diagonal, then the real and imaginary parts of the upper entries.
-  The Lindblad flow keeps rho Hermitian, so both master propagations run
-  in those real coordinates (dgemm instead of zgemm) with the same RK4
-  polynomial and doubling, and the complex entries are rebuilt by slices.
+  The Lindblad flow keeps rho Hermitian, so the master path works in those
+  real coordinates from the Liouvillian entries to the reduced states
+  (dgemm instead of zgemm): a real generator, both propagations with the
+  same RK4 polynomial and doubling, the positivity gate and a real
+  partial-trace map. The complex entries are rebuilt by slices only when
+  read.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -23,14 +26,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (CutoffNotConverged, NumericalError, PositivityViolated,
-                     ValidationError)
+from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
+                     PositivityViolated, ValidationError)
 from .linalg import eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
@@ -46,6 +49,13 @@ MIN_STEPS = 100
 # Quality gates on master-equation trajectories.
 POSITIVITY_FLOOR = -1e-6
 CONVERGENCE_DISTANCE = 1e-8
+# The positivity gate builds its group blocks over equal runs of rows, as
+# few as keep the largest block within this many bytes: one run for a quiet
+# point, two for a superposition start (3 x 3), fifteen for a noisy point
+# (11 x 11). A whole 3 x 3 block with its Cholesky factor would lift a
+# superposition start's heap peak from 0.6 to 1.0 MiB; the noisy gate takes
+# as long at 256 as at 512 KiB.
+GATE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,20 @@ class AnalyticCoeffs:
 class Trajectory:
     """Time grid with states and reduced-state derivatives.
 
-    On the master path states holds vec(rho)[support] at every grid point:
-    the entries of the row-major vectorized joint density matrix that the
-    initial state reaches, all others being exactly zero. support is not
-    sorted: it lists the diagonal entries, the upper entries (i < j) and
-    then the matching (j, i) entries, each ascending, and the last group
-    holds the exact conjugates of the second. states and support are None
-    on the analytic path (the closed form never builds the joint density
-    matrix). traces and min_eigs are per-step diagnostics and conv_dist
-    summarizes the whole run. The master states are rebuilt from real
-    coordinates, so they are exactly Hermitian and no hermiticity error is
-    kept. min_eigs is computed on first read and cached, since the
-    positivity gate of the master path does not need it.
+    On the master path coords holds, at every grid point, the real
+    coordinates (d, x, y) of vec(rho)[support]: the entries of the row-major
+    vectorized joint density matrix that the initial state reaches, all
+    others being exactly zero. support is not sorted: it lists the
+    diagonal entries, the upper entries (i < j) and then the matching
+    (j, i) entries, each ascending; d holds the diagonal entries, x + iy
+    the upper ones and x - iy the lower ones. states, those complex
+    entries, is rebuilt from coords on first read and cached, so it is
+    exactly Hermitian and no hermiticity error is kept. coords, states
+    and support are None on the analytic path (the closed form never
+    builds the joint density matrix). traces and min_eigs are per-step
+    diagnostics and conv_dist summarizes the whole run. min_eigs is
+    computed on first read and cached, since the positivity gate of the
+    master path does not need it.
     """
 
     times: np.ndarray
@@ -90,12 +102,22 @@ class Trajectory:
     fock_cutoff: int
     traces: np.ndarray
     conv_dist: float
-    states: np.ndarray | None = None
+    coords: np.ndarray | None = None
     support: np.ndarray | None = None
 
     @property
     def trace_err(self) -> float:
         return float(np.abs(self.traces - 1.0).max())
+
+    @property
+    def _diagonal(self) -> int:
+        dim = 2 * (self.fock_cutoff + 1)
+        return int(np.count_nonzero(self.support // dim == self.support % dim))
+
+    @cached_property
+    def states(self) -> np.ndarray | None:
+        """vec(rho)[support] at every grid point, from coords by _complex_form."""
+        return None if self.coords is None else _complex_form(self.coords, self._diagonal)
 
     @cached_property
     def min_eigs(self) -> np.ndarray:
@@ -103,16 +125,14 @@ class Trajectory:
         state on the master path, by eigvalsh on each of its _group_blocks;
         of the reduced state on the analytic path, whose rho_atom is
         diagonal, so the smaller population."""
-        if self.states is None:
+        if self.coords is None:
             return np.minimum(self.rho_atom[:, 0, 0].real, self.rho_atom[:, 1, 1].real)
         dim = 2 * (self.fock_cutoff + 1)
-        blocks = _group_blocks(self.states, self.support, dim,
-                               lambda block: eigvalsh(block)[:, 0])
         # a state in no group has a zero row and column, so an eigenvalue 0
-        grouped = sum(group.size for group, _ in blocks)
+        grouped = np.unique(self.support // dim).size
         min_eigs = np.zeros(len(self.times)) if grouped < dim else np.full(len(self.times), np.inf)
-        for _, least in blocks:
-            min_eigs = np.minimum(min_eigs, least)
+        for _, block in _group_blocks(self.coords, self.support, self._diagonal, dim):
+            min_eigs = np.minimum(min_eigs, eigvalsh(block)[:, 0])
         return min_eigs
 
     def __post_init__(self) -> None:
@@ -223,19 +243,24 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     side are imaginary and drop out of the real part analytically, leaving
     d|A_e|^2/dt = -gamma |A_e|^2 + 2 g_s Im(A_e* A_p) and
     d|A_p|^2/dt = -kappa |A_p|^2 - 2 g_s Im(A_e* A_p); taking them
-    numerically would leave delta * eps noise at large detuning.
+    numerically would leave delta * eps noise at large detuning. Amplitudes
+    that leave the float range raise NoConvergence.
     """
     _require_excited_start(params)
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
     d = derive(params)
     times = np.linspace(0.0, params.tau, steps + 1)
-    excited, photon, _, _, _ = _amplitudes(params, times)
-    pop_e = np.abs(excited) ** 2
-    pop_p = np.abs(photon) ** 2
-    exchange = 2.0 * d.g_s * np.imag(np.conj(excited) * photon)
-    rate_e = -params.gamma * pop_e + exchange
-    rate_p = -params.kappa * pop_p - exchange
+    with np.errstate(over="ignore", invalid="ignore"):
+        excited, photon, _, _, _ = _amplitudes(params, times)
+        pop_e = np.abs(excited) ** 2
+        pop_p = np.abs(photon) ** 2
+        exchange = 2.0 * d.g_s * np.imag(np.conj(excited) * photon)
+        rate_e = -params.gamma * pop_e + exchange
+        rate_p = -params.kappa * pop_p - exchange
+    # a non-finite amplitude or population leaves a non-finite rate
+    if not (np.isfinite(rate_e).all() and np.isfinite(rate_p).all()):
+        raise NoConvergence("closed-form propagation did not converge: non-finite amplitudes")
     n = steps + 1
     rho_atom = np.zeros((n, 2, 2), dtype=complex)
     rho_atom[:, 0, 0] = pop_e
@@ -403,16 +428,25 @@ def _reachable(rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndar
 
 def _reachable_block(params: SystemParams,
                      cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(L[idx, idx], vec(rho_0)[idx], idx, diagonal) on the entries of vec(rho)
-    that rho_0 reaches, diagonal being how many of them lie on the diagonal.
+    """(G, r_0, idx, diagonal): the real generator and the real start on the
+    entries idx of vec(rho) that rho_0 reaches, diagonal being how many of
+    them lie on the diagonal.
 
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
     of the Liouvillian L, taken from the entries of liouvillian_superoperator
     by index gathers, so L[outside, idx] is exactly zero, entries outside idx
     stay exactly zero, and L[idx, idx] propagates the same linear map as L.
-    The block is scattered from those entries; no dense L is formed. idx
-    lists the diagonal entries, then the upper entries (i < j), then the
-    matching (j, i) entries, each ascending, the order _real_form reads. A
+    idx lists the diagonal entries, then the upper entries (i < j), then the
+    matching (j, i) entries, each ascending. A Hermitian rho on idx is
+    r = (d, x, y): the diagonal entries d, the upper entries x + iy and the
+    lower ones x - iy. Then vec_dot = L[idx, idx] vec becomes r_dot = G r,
+    with the columns of L acting on d, on x (L[:, u] + L[:, l]) and on y
+    (i (L[:, u] - L[:, l])), and G keeping the real parts of the rows of d
+    and u and the imaginary parts of the rows of u. G is summed from the
+    entries of L by np.bincount, from zero in list order; no entry of G
+    gets more than two nonzero terms (the others are zeros of either sign),
+    so each takes one rounding and G equals the real form of the complex
+    block L[idx, idx], which is never formed, up to the sign of a zero. A
     Lindblad L and a Hermitian rho_0 always give a support closed under
     transposition; any other support raises.
     """
@@ -424,40 +458,38 @@ def _reachable_block(params: SystemParams,
     transposed = state_cols * dim + state_rows
     if not np.array_equal(np.sort(transposed), reached):
         raise NumericalError("reachable block is not closed under transposition")
-    diagonal = state_rows == state_cols
+    on_diagonal = state_rows == state_cols
     upper = state_rows < state_cols
-    idx = np.concatenate((reached[diagonal], reached[upper], transposed[upper]))
-    position = np.full(vec.size, -1)
-    position[idx] = np.arange(idx.size)
+    idx = np.concatenate((reached[on_diagonal], reached[upper], transposed[upper]))
+    size = idx.size
+    diagonal = int(np.count_nonzero(on_diagonal))
+    end = (size + diagonal) // 2
+    pairs = end - diagonal
+    position = np.full(vec.size, size)
+    position[idx] = np.arange(size)
     i, j = position[rows], position[cols]
-    inside = (i >= 0) & (j >= 0)
-    generator = np.zeros((idx.size, idx.size), dtype=complex)
-    generator[i[inside], j[inside]] = values[inside]
-    return generator, vec[idx], idx, int(np.count_nonzero(diagonal))
-
-
-def _real_form(generator: np.ndarray, start: np.ndarray,
-               diagonal: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real generator and real start of a block in _reachable_block order.
-
-    A Hermitian rho on the block is r = (d, x, y): the diagonal entries d,
-    the upper entries x + iy and the lower ones x - iy. Then vec_dot = L vec
-    becomes r_dot = G r, with the columns of L acting on d, on x
-    (L[:, u] + L[:, l]) and on y (i (L[:, u] - L[:, l])), and G keeping the
-    real parts of the rows of d and u and the imaginary parts of the rows
-    of u; every entry of G takes one rounding.
-    """
-    end = (generator.shape[0] + diagonal) // 2
-    upper, lower = generator[:, diagonal:end], generator[:, end:]
-    cols = np.concatenate((generator[:, :diagonal], upper + lower, 1j * (upper - lower)), axis=1)
-    real_generator = np.concatenate((cols[:end].real, cols[diagonal:end].imag))
-    return real_generator, np.concatenate((start[:end].real, start[diagonal:end].imag))
+    # the rows of lower entries are the conjugated rows of upper ones
+    kept = np.flatnonzero((i < end) & (j < size))
+    i, j, values = i[kept], j[kept], values[kept]
+    lower = j >= end
+    j -= pairs * lower
+    sign = 1.0 - 2.0 * lower
+    # each entry also adds to the y row of an upper row and to the y column
+    # of an upper or lower column, with weight 0 where there is none
+    y_row, y_col = i >= diagonal, j >= diagonal
+    key = i * size + j
+    keys = np.concatenate((key, key + pairs * size, key + pairs, key + pairs * (size + 1)))
+    weights = np.concatenate((values.real, values.imag * y_row, -sign * values.imag * y_col,
+                              sign * values.real * (y_row & y_col)))
+    generator = np.bincount(keys, weights, minlength=size * size).reshape(size, size)
+    start = vec[idx[:end]]
+    return generator, np.concatenate((start.real, start[diagonal:].imag)), idx, diagonal
 
 
 def _complex_form(real: np.ndarray, diagonal: int) -> np.ndarray:
-    """vec(rho)[idx] from real coordinates (..., |idx|) of _real_form, by
-    slices: d and x fill the real parts, y the imaginary parts of the upper
-    entries, and the lower entries are their exact conjugates."""
+    """vec(rho)[idx] from real coordinates (..., |idx|) in _reachable_block
+    order, by slices: d and x fill the real parts, y the imaginary parts of
+    the upper entries, and the lower entries are their exact conjugates."""
     end = (real.shape[-1] + diagonal) // 2
     out = np.empty(real.shape, dtype=complex)
     out[..., :end] = real[..., :end]
@@ -466,64 +498,128 @@ def _complex_form(real: np.ndarray, diagonal: int) -> np.ndarray:
     return out
 
 
-def _trace_map(idx: np.ndarray, fock_dim: int) -> np.ndarray:
-    """(4, len(idx)) 0/1 matrix taking vec(rho)[idx] to the row-major vec(Tr_cav rho):
-    entry (a F + k, b F + l) adds to atom entry (a, b) exactly when k == l."""
-    rows, cols = np.divmod(idx, 2 * fock_dim)
-    (a, k), (b, l) = np.divmod(rows, fock_dim), np.divmod(cols, fock_dim)
-    kept = np.flatnonzero(k == l)
-    trace_map = np.zeros((4, idx.size))
-    trace_map[2 * a[kept] + b[kept], kept] = 1.0
+def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
+    """(8, len(idx)) matrix taking the real coordinates (d, x, y) of
+    vec(rho)[idx] to the real and imaginary parts of the row-major reduced
+    state (rho_ee, rho_eg, rho_ge, rho_gg), so that a contiguous stack
+    coords @ M.T viewed as complex is rho_atom. Entry (a F + k, b F + l)
+    adds to atom entry (a, b) exactly when k == l, and an upper entry that
+    does is an (e, g) one: its x adds to Re rho_eg and Re rho_ge, its y to
+    Im rho_eg and, negated, to Im rho_ge. The imaginary rows of rho_ee and
+    rho_gg are zero."""
+    end = (idx.size + diagonal) // 2
+    rows, cols = np.divmod(idx[:end], 2 * fock_dim)
+    coherent = diagonal + np.flatnonzero(rows[diagonal:] % fock_dim == cols[diagonal:] % fock_dim)
+    trace_map = np.zeros((8, idx.size))
+    trace_map[6 * (rows[:diagonal] // fock_dim), np.arange(diagonal)] = 1.0
+    trace_map[2, coherent] = trace_map[4, coherent] = 1.0
+    trace_map[3, coherent + (end - diagonal)] = 1.0
+    trace_map[5, coherent + (end - diagonal)] = -1.0
     return trace_map
 
 
-def _group_blocks(states: np.ndarray, idx: np.ndarray, dim: int,
-                  reduce: Callable[[np.ndarray], object]) -> list[tuple[np.ndarray, object]]:
-    """(group, reduce(block)) for each group of basis states over which the
-    (n, dim, dim) stack of matrices whose vec entries idx hold states, all
-    others being zero, is block diagonal; block is the zero-filled (n, k, k)
-    diagonal block on the k states of group.
+def _atom_form(reduced: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) reduced states of a contiguous (n, 8) stack of their
+    real and imaginary parts, as _trace_map gives them; a view."""
+    return reduced.view(complex).reshape(-1, 2, 2)
+
+
+def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
+                  chunk_bytes: float = np.inf) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(group, block) for each group of basis states over which the
+    (n, dim, dim) stack of matrices whose vec entries idx hold the complex
+    form of the real coordinates coords, all others being zero, is block
+    diagonal; block is the zero-filled (rows, k, k) diagonal block on the k
+    states of group. The rows run in equal chunks, as few as keep the
+    largest block within chunk_bytes (one chunk of all n rows by default),
+    and every group's block of a chunk is yielded before the next chunk.
 
     idx is closed under transposition (see _reachable_block), so states i
     and j are linked when entry (i, j) is in idx; each group is the sorted
     set of states _reachable along links from its lowest state not yet
-    grouped, and its entries are placed through a state -> local position
-    table. A state with no link belongs to no group: its row and column are
-    zero. Each block is reduced and released before the next is built.
+    grouped. One table, built once for all groups, names the row of a
+    transposed chunk that each slot of each block reads; the chunk holds
+    the coordinates (d, x, y), then -y, then a row of zeros. A block is
+    gathered with np.take into a (k*k, rows) stack and handed out as its
+    (rows, k, k) view: real parts from d and x, imaginary parts from y for
+    an upper entry and from -y for a lower one, zeros on the diagonal and
+    in the slots outside idx. So each block equals the one cut from
+    _complex_form(coords) bit for bit. A state with no link belongs to no
+    group: its row and column are zero. Each block is released before the
+    next is built.
     """
     rows, cols = np.divmod(idx, dim)
+    local = np.zeros(dim, dtype=int)
+    row_slot = np.zeros(dim, dtype=int)
     left = np.zeros(dim, dtype=bool)
     left[rows] = True
-    out = []
+    groups, slots = [], 0
     while left.any():
         group = _reachable(rows, cols, np.arange(dim) == np.argmax(left))
         left[group] = False
-        local = np.full(dim, -1)
-        local[group] = np.arange(group.size)
-        inside = local[rows] >= 0
-        block = np.zeros((states.shape[0], group.size, group.size), dtype=complex)
-        block[:, local[rows[inside]], local[cols[inside]]] = states[:, inside]
-        out.append((group, reduce(block)))
-        del block
-    return out
+        k = group.size
+        local[group] = np.arange(k)
+        row_slot[group] = np.arange(slots, slots + k * k, k)
+        groups.append((group, slots))
+        slots += k * k
+    # the slot of each idx entry in the concatenated blocks, and the row of
+    # a transposed chunk (the coordinates d, x, y, then -y, then 0) that
+    # each slot reads for its real and its imaginary part: x of a lower
+    # entry sits with its upper partner, y and -y of both in order
+    slot = row_slot[rows] + local[cols]
+    size = idx.size
+    end = (size + diagonal) // 2
+    zero = 2 * size - end
+    real_from = np.full(slots, zero)
+    real_from[slot] = np.concatenate((np.arange(end), np.arange(diagonal, end)))
+    imag_from = np.full(slots, zero)
+    imag_from[slot[diagonal:]] = np.arange(end, zero)
+    n = coords.shape[0]
+    widest = max(group.size for group, _ in groups)
+    chunks = -(-n * 16 * widest ** 2 // chunk_bytes) if chunk_bytes < np.inf else 1
+    step = -(-n // int(chunks))
+    for first in range(0, n, step):
+        rows_here = min(step, n - first)
+        chunk = np.empty((zero + 1, rows_here))
+        chunk[:size] = coords[first:first + rows_here].T
+        np.negative(chunk[end:size], out=chunk[size:zero])
+        chunk[zero] = 0.0
+        for group, first_slot in groups:
+            k = group.size
+            part = slice(first_slot, first_slot + k * k)
+            stack = np.empty((k * k, rows_here), dtype=complex)
+            stack.real = np.take(chunk, real_from[part], axis=0)
+            stack.imag = np.take(chunk, imag_from[part], axis=0)
+            yield group, stack.reshape(k, k, rows_here).transpose(2, 0, 1)
+            del stack
+
+
+def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
+    """The 2x2 reduced state after steps RK4 steps of size h at cutoff, by
+    _propagate_endpoint; every matrix of the run is freed on return."""
+    generator, start, idx, diagonal = _reachable_block(params, cutoff)
+    end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
+    return _atom_form(_trace_map(idx, diagonal, cutoff + 1) @ end)[0]
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
                   steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step RK4 integration of the master equation over [0, tau].
 
-    Records the reachable entries of the joint state, the reduced atom
-    state, and the reduced-state derivative at every grid point, and the
-    trace as the sum of the reachable diagonal entries. Validates
-    physicality (positivity floor -1e-6, checked in one pass over the
-    _group_blocks of the joint state before the reduced states are formed,
-    each by gate_min_eig: a batched
-    Cholesky factorisation, with eigvalsh only where it fails, so the one
-    possible flip against an exact spectrum is a pass whose least
-    eigenvalue lies within round-off below the floor; non-finite states
-    raise NoConvergence) and reruns the endpoint at cutoff+2 to confirm the
-    truncation converged (trace distance <= 1e-8). The exact min_eigs of
-    the returned trajectory are computed only when read.
+    Records the real coordinates of the reachable entries of the joint
+    state, the reduced atom state, and the reduced-state derivative at every
+    grid point, and the trace as the sum of the reachable diagonal entries.
+    A propagation that leaves the float range raises NoConvergence.
+    Validates physicality (positivity floor -1e-6, checked over the row
+    chunks of the _group_blocks before the reduced states are formed, each
+    by gate_min_eig: a batched Cholesky factorisation, with eigvalsh only
+    where it fails, so the one possible flip against an exact spectrum is a
+    pass whose least eigenvalue lies within round-off below the floor) and
+    compares the endpoint with a rerun at cutoff+2 to confirm the truncation
+    converged (trace distance <= 1e-8). The rerun goes first and keeps only
+    its reduced endpoint, so its larger matrices are freed before the
+    coordinates are allocated; the comparison still follows the gate. The
+    exact min_eigs and the complex states are computed only when read.
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
@@ -532,27 +628,34 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     n = steps + 1
     fock_dim = cutoff + 1
-    h = params.tau / steps
-    generator, start, idx, diagonal = _reachable_block(params, cutoff)
-    real_generator, real_start = _real_form(generator, start, diagonal)
-    states = _complex_form(
-        _propagate(_rk4_step_matrix(real_generator, h), real_start, steps), diagonal)
     dim = 2 * fock_dim
-    traces = states[:, idx // dim == idx % dim].sum(axis=1).real
-    worst = min(least for _, least in _group_blocks(
-        states, idx, dim, lambda block: gate_min_eig(block, POSITIVITY_FLOOR)))
+    h = params.tau / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        refined = _reduced_endpoint(params, cutoff + 2, h, steps)
+        generator, start, idx, diagonal = _reachable_block(params, cutoff)
+        trace_map = _trace_map(idx, diagonal, fock_dim)
+        rate_map = trace_map @ generator
+        step_matrix = _rk4_step_matrix(generator, h)
+        del generator
+        coords = _propagate(step_matrix, start, steps)
+        del step_matrix
+    # a non-finite generator leaves a non-finite step matrix, and so coordinates
+    if not np.isfinite(coords).all():
+        raise NoConvergence(f"master propagation did not converge: non-finite states "
+                            f"at cutoff {cutoff}")
+    # summed in the order of a sum over the padded diagonal
+    traces = np.add.reduce(np.ascontiguousarray(coords[:, :diagonal].T), axis=0)
+    worst = min(gate_min_eig(block, POSITIVITY_FLOOR) for _, block in _group_blocks(
+        coords, idx, diagonal, dim, GATE_CHUNK_BYTES))
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
-    trace_map = _trace_map(idx, fock_dim)
-    rho_atom = (states @ trace_map.T).reshape(n, 2, 2)
-    rho_atom_dot = (states @ (trace_map @ generator).T).reshape(n, 2, 2)
+    rho_atom = _atom_form(coords @ trace_map.T)
+    rho_atom_dot = _atom_form(coords @ rate_map.T)
 
-    # the cutoff+2 rerun needs only its endpoint
-    generator, start, refined_idx, diagonal = _reachable_block(params, cutoff + 2)
-    real_generator, real_start = _real_form(generator, start, diagonal)
-    end = _propagate_endpoint(_rk4_step_matrix(real_generator, h), real_start, steps)
-    refined = (_trace_map(refined_idx, fock_dim + 2) @ _complex_form(end, diagonal)).reshape(2, 2)
+    if not np.isfinite(refined).all():
+        raise NoConvergence(f"master propagation did not converge: non-finite states "
+                            f"at cutoff {cutoff + 2}")
     _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
     conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
@@ -567,6 +670,6 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         fock_cutoff=cutoff,
         traces=traces,
         conv_dist=conv_dist,
-        states=states,
+        coords=coords,
         support=idx,
     )

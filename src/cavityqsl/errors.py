@@ -18,7 +18,7 @@ class NumericalError(RuntimeError):
 
 
 class NoConvergence(NumericalError):
-    """Eigensolver failed to converge."""
+    """Eigensolver failed to converge, or a propagation left the float range."""
 
 
 class CutoffNotConverged(NumericalError):

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _coalesce,
-                                _complex_form, _group_blocks,
+from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
+                                _coalesce, _complex_form, _group_blocks,
                                 _oracle_trajectory, _reachable_block,
-                                _real_form, _rk4_step_matrix,
-                                _trace_map, analytic_coeffs,
+                                _rk4_step_matrix, _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
                                 ode_oracle_coeffs)
@@ -37,6 +36,10 @@ TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
 # unmatched reservoir (n_s = sinh(r_p)^2, m_s != 0): default cutoff 10
 NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
                      theta_p=0.0, gamma=1e-3, kappa=0.05)
+
+# no symmetry: complex m_s, a squeezed reservoir of its own and a tilted start
+GENERIC = SystemParams(g=1.0, r_p=0.3, delta_a=0.7, delta_c=1.3, theta_p=0.4, gamma=0.05,
+                       kappa=0.1, r_e=0.2, theta_e=1.1, alpha=0.6)
 
 # matched at a negative drive phase where theta_e = pi - theta_p left
 # |m_s| = 1.9e-15 and an 18-entry quiet block
@@ -132,6 +135,24 @@ def dense_reachable_block(super_op, vec, dim):
     upper = rows < cols
     idx = np.concatenate((reached[rows == cols], reached[upper], (cols * dim + rows)[upper]))
     return super_op[np.ix_(idx, idx)], vec[idx], idx, int(np.count_nonzero(rows == cols))
+
+
+def real_form(generator, start, diagonal):
+    """The real generator and real start of a complex block in
+    _reachable_block order, by slices: columns L[:, d], L[:, u] + L[:, l] and
+    i (L[:, u] - L[:, l]); rows the real parts of d and u, then the
+    imaginary parts of u."""
+    end = (generator.shape[0] + diagonal) // 2
+    upper, lower = generator[:, diagonal:end], generator[:, end:]
+    cols = np.concatenate((generator[:, :diagonal], upper + lower, 1j * (upper - lower)), axis=1)
+    real_generator = np.concatenate((cols[:end].real, cols[diagonal:end].imag))
+    return real_generator, np.concatenate((start[:end].real, start[diagonal:end].imag))
+
+
+def real_coordinates(vec, diagonal):
+    """(d, x, y) of entries vec in _reachable_block order."""
+    end = (vec.shape[-1] + diagonal) // 2
+    return np.concatenate((vec[..., :end].real, vec[..., diagonal:end].imag), axis=-1)
 
 
 def dense_kron_superoperator(ops, derived):
@@ -470,16 +491,20 @@ def test_reachable_block_is_closed(params, cutoff, size):
     vec = initial_state(params, cutoff + 1).reshape(-1)
     assert np.isin(np.flatnonzero(vec), idx).all()
     assert (vec[outside] == 0).all()
-    # bit for bit the block taken from the dense L
+    # bit for bit the real form of the block taken from the dense L
     want = dense_reachable_block(full, vec, 2 * (cutoff + 1))
     assert block[3] == want[3]
-    for got, ref in zip(block[:3], want[:3]):
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+    assert block[2].tobytes() == want[2].tobytes()
+    ref_generator, ref_start = real_form(*want[:2], want[3])
+    assert block[0].dtype == block[1].dtype == np.float64
+    assert block[1].tobytes() == ref_start.tobytes()
+    assert block[0].shape == ref_generator.shape
+    # every nonzero entry bit for bit; a zero may differ in sign
+    assert np.array_equal(block[0], ref_generator)
 
 
 def test_reachable_block_peak_memory():
-    # the dense L alone is 7.0 MiB at cutoff 12, the 338 x 338 block 1.7 MiB
+    # the dense L alone is 7.0 MiB at cutoff 12, the 338 x 338 real block 0.9 MiB
     _reachable_block(NOISY, 12)
     tracemalloc.start()
     try:
@@ -512,9 +537,11 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (BASE, 4), (TILTED, 2), (TILTED, 4),
                                             (NOISY, 10), (NOISY, 12)])
 def test_real_form_reproduces_block(params, cutoff):
-    generator, start, idx, diagonal = _reachable_block(params, cutoff)
+    real_generator, real_start, idx, diagonal = _reachable_block(params, cutoff)
     dim = 2 * (cutoff + 1)
-    real_generator, real_start = _real_form(generator, start, diagonal)
+    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    generator = full[np.ix_(idx, idx)]
+    start = initial_state(params, cutoff + 1).reshape(-1)[idx]
     assert real_generator.dtype == real_start.dtype == np.float64
     assert real_generator.shape == generator.shape
     assert np.array_equal(_complex_form(real_start, diagonal), start)
@@ -522,8 +549,7 @@ def test_real_form_reproduces_block(params, cutoff):
     rng = np.random.default_rng(cutoff)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vec = (m + m.conj().T).reshape(-1)[idx]
-    end = (idx.size + diagonal) // 2
-    real = np.concatenate((vec[:end].real, vec[diagonal:end].imag))
+    real = real_coordinates(vec, diagonal)
     assert np.array_equal(_complex_form(real, diagonal), vec)
     want = generator @ vec
     got = _complex_form(real_generator @ real, diagonal)
@@ -559,20 +585,36 @@ def test_master_matches_sequential_full_space_loop(params):
     assert np.abs(traj.rho_atom_dot - rho_atom_dot).max() <= 1e-12
 
 
+def ordered_support(entries, dim):
+    """The transpose closure of vec entries in _reachable_block order, and
+    how many lie on the diagonal."""
+    rows, cols = np.divmod(np.asarray(entries), dim)
+    closed = np.union1d(rows * dim + cols, cols * dim + rows)
+    rows, cols = np.divmod(closed, dim)
+    upper = rows < cols
+    idx = np.concatenate((closed[rows == cols], closed[upper], (cols * dim + rows)[upper]))
+    return idx, int(np.count_nonzero(rows == cols))
+
+
 def test_trace_map_is_the_partial_trace():
     rng = np.random.default_rng(3)
     fock_dim = 4
     dim = 2 * fock_dim
-    stack = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
-    trace_map = _trace_map(np.arange(dim * dim), fock_dim)
-    via_map = (stack.reshape(5, -1) @ trace_map.T).reshape(5, 2, 2)
+    m = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+    stack = m + m.conj().transpose(0, 2, 1)
+    idx, diagonal = ordered_support(np.arange(dim * dim), dim)
+    trace_map = _trace_map(idx, diagonal, fock_dim)
+    assert trace_map.shape == (8, dim * dim) and set(np.unique(trace_map)) == {-1.0, 0.0, 1.0}
+    coords = real_coordinates(stack.reshape(5, -1)[:, idx], diagonal)
+    via_map = _atom_form(coords @ trace_map.T)
     direct = partial_trace_cavity_stack(stack, 2, fock_dim)
     assert np.abs(via_map - direct).max() <= 1e-13
     # on a subset of entries the map reads only those entries
-    idx = np.sort(rng.choice(dim * dim, size=20, replace=False))
+    idx, diagonal = ordered_support(rng.choice(dim * dim, size=20, replace=False), dim)
     masked = np.zeros((5, dim * dim), dtype=complex)
     masked[:, idx] = stack.reshape(5, -1)[:, idx]
-    via_block = (stack.reshape(5, -1)[:, idx] @ _trace_map(idx, fock_dim).T).reshape(5, 2, 2)
+    coords = real_coordinates(stack.reshape(5, -1)[:, idx], diagonal)
+    via_block = _atom_form(coords @ _trace_map(idx, diagonal, fock_dim).T)
     direct = partial_trace_cavity_stack(masked.reshape(5, dim, dim), 2, fock_dim)
     assert np.abs(via_block - direct).max() <= 1e-13
 
@@ -633,19 +675,21 @@ def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes):
     traj = evolve_master(params)
     dim = 2 * (traj.fock_cutoff + 1)
     rho = joint_states(traj)
-    blocks = _group_blocks(traj.states, traj.support, dim, lambda block: block)
+    blocks = list(_group_blocks(traj.coords, traj.support, traj._diagonal, dim))
     assert [group.size for group, _ in blocks] == sizes
     for group, block in blocks:
-        assert np.array_equal(block, rho[:, group[:, None], group])
+        # bit for bit, signed zeros included
+        assert block.tobytes() == rho[:, group[:, None], group].tobytes()
     # every state off the groups has a zero row and column
     off = np.setdiff1d(np.arange(dim), np.concatenate([g for g, _ in blocks]))
     assert not rho[:, off].any() and not rho[:, :, off].any()
 
 
-@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (NOISY, 25.0)],
-                         ids=["quiet", "noisy"])
+@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 8.0)],
+                         ids=["quiet", "tilted", "noisy"])
 def test_master_point_peak_memory(params, limit_mib):
-    # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB noisy
+    # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB
+    # noisy; the noisy coordinates alone are 3.7 MiB
     evolve_master(params)
     tracemalloc.start()
     try:
@@ -690,17 +734,15 @@ def test_gate_decides_as_eigvalsh(k, margin):
 def test_non_finite_states_are_no_convergence(params, value, entry):
     traj = evolve_master(params, steps=200)
     dim = 2 * (traj.fock_cutoff + 1)
-    idx, states = traj.support, traj.states.copy()
-    rows, cols = np.divmod(idx, dim)
-    diagonal = np.count_nonzero(rows == cols)
+    idx, coords, diagonal = traj.support, traj.coords.copy(), traj._diagonal
     if entry == "diagonal":
-        states[150, diagonal - 1] = value
+        coords[150, diagonal - 1] = value
     else:
-        # an upper entry and its conjugate partner, as a Hermitian state has them
-        end = (idx.size + diagonal) // 2
-        states[150, [diagonal, end]] = value
+        # the y coordinate of an upper entry and its conjugate partner
+        coords[150, (idx.size + diagonal) // 2] = value
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
-        _group_blocks(states, idx, dim, lambda block: gate_min_eig(block, POSITIVITY_FLOOR))
+        for _, block in _group_blocks(coords, idx, diagonal, dim, chunk_bytes=4096):
+            gate_min_eig(block, POSITIVITY_FLOOR)
 
 
 def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
@@ -720,3 +762,84 @@ def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
     # computed once, then cached
     assert traj.min_eigs is first
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 10, 12])
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY, GENERIC],
+                         ids=["quiet", "tilted", "noisy", "generic"])
+def test_real_generator_is_the_real_form_of_the_dense_block(params, cutoff):
+    generator, start, idx, diagonal = _reachable_block(params, cutoff)
+    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    vec = initial_state(params, cutoff + 1).reshape(-1)
+    block, block_start, want_idx, want_diagonal = dense_reachable_block(full, vec, 2 * (cutoff + 1))
+    assert np.array_equal(idx, want_idx) and diagonal == want_diagonal
+    want, want_start = real_form(block, block_start, diagonal)
+    assert generator.dtype == np.float64 and generator.shape == want.shape
+    # equal values: every nonzero entry bit for bit, zeros up to their sign
+    assert np.array_equal(generator, want)
+    assert start.tobytes() == want_start.tobytes()
+
+
+def gate_over(traj, chunk_bytes, floor=POSITIVITY_FLOOR):
+    dim = 2 * (traj.fock_cutoff + 1)
+    return min(gate_min_eig(block, floor) for _, block in _group_blocks(
+        traj.coords, traj.support, traj._diagonal, dim, chunk_bytes))
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_gate_over_row_chunks_decides_as_one_pass(params):
+    traj = evolve_master(params, steps=300)
+    # 2 KiB holds a few rows of an 11 x 11 block: dozens of chunks. A pass
+    # reads +inf for k >= 3 and the exact least eigenvalue for k <= 2.
+    one_pass = gate_over(traj, np.inf)
+    assert gate_over(traj, 2048) == one_pass >= POSITIVITY_FLOOR
+    # a floor above the least eigenvalues fails slices in many chunks, and
+    # the failed gate still reports the exact least eigenvalue of the stack
+    floor = 0.5 * float(traj.min_eigs.max()) + 1e-3
+    assert gate_over(traj, 2048, floor) == gate_over(traj, np.inf, floor) == traj.min_eigs.min()
+    # the chunks of a group, stacked, are its whole block
+    dim = 2 * (traj.fock_cutoff + 1)
+    whole = {tuple(group): block for group, block in _group_blocks(
+        traj.coords, traj.support, traj._diagonal, dim)}
+    pieces = {}
+    for group, block in _group_blocks(traj.coords, traj.support, traj._diagonal, dim, 2048):
+        pieces.setdefault(tuple(group), []).append(block.copy())
+    assert whole.keys() == pieces.keys()
+    for key, block in whole.items():
+        assert len(pieces[key]) > 1
+        assert np.concatenate(pieces[key]).tobytes() == block.tobytes()
+
+
+def test_failed_gate_over_row_chunks_reports_the_same_value(monkeypatch):
+    unstable = SystemParams(g=1.0, delta_a=300.0)
+    with pytest.raises(PositivityViolated) as whole:
+        evolve_master(unstable, cutoff=2, steps=100)
+    monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", 256)
+    with pytest.raises(PositivityViolated) as chunked:
+        evolve_master(unstable, cutoff=2, steps=100)
+    assert str(chunked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+def test_states_are_rebuilt_from_the_coordinates_on_read(params):
+    traj = evolve_master(params, steps=200)
+    assert traj.coords.dtype == np.float64
+    assert traj.coords.shape == (201, traj.support.size)
+    assert "states" not in vars(traj)
+    states = traj.states
+    assert traj.states is states and states.dtype == complex
+    assert np.array_equal(states, _complex_form(traj.coords, traj._diagonal))
+    # exactly Hermitian: each lower entry is the conjugate of its upper one
+    end = (traj.support.size + traj._diagonal) // 2
+    assert np.array_equal(states[:, end:], np.conj(states[:, traj._diagonal:end]))
+    assert not states[:, :traj._diagonal].imag.any()
+
+
+@pytest.mark.parametrize("engine", [evolve_master, analytic_trajectory], ids=["master", "analytic"])
+@pytest.mark.parametrize("delta_a", [1e200, 1e308])
+def test_overflowing_propagation_is_no_convergence(engine, delta_a):
+    # the propagation leaves the float range: no RuntimeWarning (an error
+    # under this suite's warning filter), one NoConvergence that says so
+    with pytest.raises(NoConvergence, match="propagation did not converge: non-finite"):
+        engine(SystemParams(g=1.0, delta_a=delta_a), steps=100)
+

@@ -564,6 +564,30 @@ def test_nan_state_is_an_error_row_not_frozen(tmp_path):
         assert issubclass(getattr(cavityqsl.errors, flag[len("error:"):]), NumericalError)
 
 
+
+@pytest.mark.parametrize("engine", ["master", "analytic"])
+def test_overflow_prints_one_line_and_no_warning(engine):
+    # numpy's overflow warnings used to land on stderr above the message
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "cavityqsl", *argv, "--engine", engine,
+                               "--steps", "100"], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    point = run("qsl", "--delta_a", "1e308")
+    assert point.returncode == 2
+    assert point.stderr.splitlines() == [
+        "numerical failure: " + ("master" if engine == "master" else "closed-form")
+        + " propagation did not converge: non-finite "
+        + ("states at cutoff 2" if engine == "master" else "amplitudes")]
+    sweep = run("sweep", "--variable", "delta_a", "--range", "1e307,1e308,2")
+    assert sweep.returncode == 0 and sweep.stderr == ""
+    rows = sweep.stdout.strip().split("\n")[1:]
+    assert len(rows) == 2 and all(row.endswith(",error:NoConvergence") for row in rows)
+
 @pytest.mark.parametrize("command, message", [
     # tanh(2 r_p) rounds to 1 from r_p = 9.5308 on, sinh(2 r_e) overflows past r_e = 355
     (["sweep", "--variable", "r_p", "--range", "0,10,3", "--constraint_mode",
