@@ -15,8 +15,8 @@ Two independent routes to the same physics:
   real coordinates from the Liouvillian entries to the reduced states
   (dgemm instead of zgemm): a real generator, both propagations with the
   same RK4 polynomial and doubling, the positivity gate and a real
-  partial-trace map. The complex entries are rebuilt by slices only when
-  read.
+  partial-trace map. Their index structure depends only on patterns, so
+  linalg.cached_plan builds it once and a point computes only the values.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
                      PositivityViolated, ValidationError)
-from .linalg import eigvalsh, gate_min_eig, norms_of_hermitian_stack
+from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
                     default_cutoff, derive)
@@ -49,6 +49,9 @@ MIN_STEPS = 100
 # Quality gates on master-equation trajectories.
 POSITIVITY_FLOOR = -1e-6
 CONVERGENCE_DISTANCE = 1e-8
+# Truncation keeps trace and positivity: a cutoff+2 endpoint off a state
+# by more than this (trace, or least eigenvalue below 0) is a step failure.
+UNSTABLE_ENDPOINT = 1e-6
 # The positivity gate builds its group blocks over equal runs of rows, as
 # few as keep the largest block within this many bytes: one run for a quiet
 # point, two for a superposition start (3 x 3), fifteen for a noisy point
@@ -86,13 +89,12 @@ class Trajectory:
     others being exactly zero. support is not sorted: it lists the
     diagonal entries, the upper entries (i < j) and then the matching
     (j, i) entries, each ascending; d holds the diagonal entries, x + iy
-    the upper ones and x - iy the lower ones. states, those complex
-    entries, is rebuilt from coords on first read and cached, so it is
-    exactly Hermitian and no hermiticity error is kept. coords, states
-    and support are None on the analytic path (the closed form never
-    builds the joint density matrix). traces and min_eigs are per-step
-    diagnostics and conv_dist summarizes the whole run. min_eigs is
-    computed on first read and cached, since the positivity gate of the
+    the upper ones and x - iy the lower ones, so the state is exactly
+    Hermitian. support is a read-only array shared by the points of one
+    pattern. coords and support are None on the analytic path (the closed
+    form never builds the joint density matrix). traces and min_eigs are
+    per-step diagnostics and conv_dist summarizes the whole run. min_eigs
+    is computed on first read and cached, since the positivity gate of the
     master path does not need it.
     """
 
@@ -113,11 +115,6 @@ class Trajectory:
     def _diagonal(self) -> int:
         dim = 2 * (self.fock_cutoff + 1)
         return int(np.count_nonzero(self.support // dim == self.support % dim))
-
-    @cached_property
-    def states(self) -> np.ndarray | None:
-        """vec(rho)[support] at every grid point, from coords by _complex_form."""
-        return None if self.coords is None else _complex_form(self.coords, self._diagonal)
 
     @cached_property
     def min_eigs(self) -> np.ndarray:
@@ -340,19 +337,15 @@ def _coalesce(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Strictly increasing unique keys and the nonzero sums of their values.
 
     Each sum starts from zero and adds the values of its key in the order
-    they are listed (a stable sort, then np.add.at, which adds one index at
-    a time), as summing them into a dense zero matrix in that order would.
-    Sums that are exactly zero are dropped with their keys.
+    they are listed (np.add.at adds one index at a time), as summing them
+    into a dense zero matrix in that order would. Sums that are exactly zero
+    are dropped with their keys. The segments come from cached_plan.
     """
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    sums = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(sums, np.cumsum(first) - 1, values[order])
+    unique, segment = cached_plan(np.unique, keys, False, True)  # return_inverse
+    sums = np.zeros(unique.size, dtype=complex)
+    np.add.at(sums, segment, values)
     nonzero = sums != 0
-    return keys[first][nonzero], sums[nonzero]
+    return unique[nonzero], sums[nonzero]
 
 
 def initial_state(params: SystemParams, fock_dim: int) -> np.ndarray:
@@ -448,12 +441,25 @@ def _reachable_block(params: SystemParams,
     so each takes one rounding and G equals the real form of the complex
     block L[idx, idx], which is never formed, up to the sign of a zero. A
     Lindblad L and a Hermitian rho_0 always give a support closed under
-    transposition; any other support raises.
+    transposition; any other support raises. Everything but the values comes
+    from cached_plan, keyed on the patterns of L and vec(rho_0).
     """
     dim = 2 * (cutoff + 1)
     rows, cols, values = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
-    reached = _reachable(rows, cols, vec != 0)
+    idx, diagonal, kept, keys, factor = cached_plan(_block_plan, dim, rows, cols, vec != 0)
+    values = values[kept]
+    weights = np.concatenate((values.real, values.imag, values.imag, values.real)) * factor
+    size = idx.size
+    generator = np.bincount(keys, weights, minlength=size * size).reshape(size, size)
+    start = vec[idx[:(size + diagonal) // 2]]
+    return generator, np.concatenate((start.real, start[diagonal:].imag)), idx, diagonal
+
+
+def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> tuple:
+    """idx, diagonal, the entries of L kept, and the bincount keys and the
+    factors (0 or +-1) of their parts in G, from the patterns alone."""
+    reached = _reachable(rows, cols, start)
     state_rows, state_cols = np.divmod(reached, dim)
     transposed = state_cols * dim + state_rows
     if not np.array_equal(np.sort(transposed), reached):
@@ -465,37 +471,22 @@ def _reachable_block(params: SystemParams,
     diagonal = int(np.count_nonzero(on_diagonal))
     end = (size + diagonal) // 2
     pairs = end - diagonal
-    position = np.full(vec.size, size)
+    position = np.full(start.size, size)
     position[idx] = np.arange(size)
     i, j = position[rows], position[cols]
     # the rows of lower entries are the conjugated rows of upper ones
     kept = np.flatnonzero((i < end) & (j < size))
-    i, j, values = i[kept], j[kept], values[kept]
+    i, j = i[kept], j[kept]
     lower = j >= end
     j -= pairs * lower
-    sign = 1.0 - 2.0 * lower
     # each entry also adds to the y row of an upper row and to the y column
-    # of an upper or lower column, with weight 0 where there is none
+    # of an upper or lower column, with factor 0 where there is none
     y_row, y_col = i >= diagonal, j >= diagonal
+    sign = 1.0 - 2.0 * lower
     key = i * size + j
     keys = np.concatenate((key, key + pairs * size, key + pairs, key + pairs * (size + 1)))
-    weights = np.concatenate((values.real, values.imag * y_row, -sign * values.imag * y_col,
-                              sign * values.real * (y_row & y_col)))
-    generator = np.bincount(keys, weights, minlength=size * size).reshape(size, size)
-    start = vec[idx[:end]]
-    return generator, np.concatenate((start.real, start[diagonal:].imag)), idx, diagonal
-
-
-def _complex_form(real: np.ndarray, diagonal: int) -> np.ndarray:
-    """vec(rho)[idx] from real coordinates (..., |idx|) in _reachable_block
-    order, by slices: d and x fill the real parts, y the imaginary parts of
-    the upper entries, and the lower entries are their exact conjugates."""
-    end = (real.shape[-1] + diagonal) // 2
-    out = np.empty(real.shape, dtype=complex)
-    out[..., :end] = real[..., :end]
-    out.imag[..., diagonal:end] = real[..., end:]
-    np.conjugate(out[..., diagonal:end], out=out[..., end:])
-    return out
+    factor = np.concatenate((np.ones(kept.size), y_row, -sign * y_col, sign * (y_row & y_col)))
+    return idx, diagonal, kept, keys, factor
 
 
 def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
@@ -543,11 +534,37 @@ def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
     gathered with np.take into a (k*k, rows) stack and handed out as its
     (rows, k, k) view: real parts from d and x, imaginary parts from y for
     an upper entry and from -y for a lower one, zeros on the diagonal and
-    in the slots outside idx. So each block equals the one cut from
-    _complex_form(coords) bit for bit. A state with no link belongs to no
-    group: its row and column are zero. Each block is released before the
-    next is built.
+    in the slots outside idx. So each block equals the one cut from the
+    complex states bit for bit. A state with no link belongs to no group:
+    its row and column are zero. Each block is released before the
+    next is built. The groups and the table come from cached_plan.
     """
+    groups = cached_plan(_group_plan, idx, diagonal, dim)
+    size = idx.size
+    end = (size + diagonal) // 2
+    zero = 2 * size - end
+    n = coords.shape[0]
+    widest = max(group.size for group, _, _ in groups)
+    chunks = -(-n * 16 * widest ** 2 // chunk_bytes) if chunk_bytes < np.inf else 1
+    step = -(-n // int(chunks))
+    for first in range(0, n, step):
+        rows_here = min(step, n - first)
+        chunk = np.empty((zero + 1, rows_here))
+        chunk[:size] = coords[first:first + rows_here].T
+        np.negative(chunk[end:size], out=chunk[size:zero])
+        chunk[zero] = 0.0
+        for group, real_from, imag_from in groups:
+            k = group.size
+            stack = np.empty((k * k, rows_here), dtype=complex)
+            stack.real = np.take(chunk, real_from, axis=0)
+            stack.imag = np.take(chunk, imag_from, axis=0)
+            yield group, stack.reshape(k, k, rows_here).transpose(2, 0, 1)
+            del stack
+
+
+def _group_plan(idx: np.ndarray, diagonal: int, dim: int) -> tuple:
+    """(group, real_from, imag_from) per group of _group_blocks: its states
+    and the chunk rows each slot of its block reads for Re and Im."""
     rows, cols = np.divmod(idx, dim)
     local = np.zeros(dim, dtype=int)
     row_slot = np.zeros(dim, dtype=int)
@@ -574,24 +591,8 @@ def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
     real_from[slot] = np.concatenate((np.arange(end), np.arange(diagonal, end)))
     imag_from = np.full(slots, zero)
     imag_from[slot[diagonal:]] = np.arange(end, zero)
-    n = coords.shape[0]
-    widest = max(group.size for group, _ in groups)
-    chunks = -(-n * 16 * widest ** 2 // chunk_bytes) if chunk_bytes < np.inf else 1
-    step = -(-n // int(chunks))
-    for first in range(0, n, step):
-        rows_here = min(step, n - first)
-        chunk = np.empty((zero + 1, rows_here))
-        chunk[:size] = coords[first:first + rows_here].T
-        np.negative(chunk[end:size], out=chunk[size:zero])
-        chunk[zero] = 0.0
-        for group, first_slot in groups:
-            k = group.size
-            part = slice(first_slot, first_slot + k * k)
-            stack = np.empty((k * k, rows_here), dtype=complex)
-            stack.real = np.take(chunk, real_from[part], axis=0)
-            stack.imag = np.take(chunk, imag_from[part], axis=0)
-            yield group, stack.reshape(k, k, rows_here).transpose(2, 0, 1)
-            del stack
+    return tuple((group, real_from[first:first + group.size ** 2],
+                  imag_from[first:first + group.size ** 2]) for group, first in groups)
 
 
 def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
@@ -599,7 +600,7 @@ def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -
     _propagate_endpoint; every matrix of the run is freed on return."""
     generator, start, idx, diagonal = _reachable_block(params, cutoff)
     end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
-    return _atom_form(_trace_map(idx, diagonal, cutoff + 1) @ end)[0]
+    return _atom_form(cached_plan(_trace_map, idx, diagonal, cutoff + 1) @ end)[0]
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -616,10 +617,12 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     where it fails, so the one possible flip against an exact spectrum is a
     pass whose least eigenvalue lies within round-off below the floor) and
     compares the endpoint with a rerun at cutoff+2 to confirm the truncation
-    converged (trace distance <= 1e-8). The rerun goes first and keeps only
-    its reduced endpoint, so its larger matrices are freed before the
-    coordinates are allocated; the comparison still follows the gate. The
-    exact min_eigs and the complex states are computed only when read.
+    converged (trace distance <= 1e-8); a rerun endpoint that is no state
+    (trace or least eigenvalue off by more than 1e-6) or not finite raises
+    NoConvergence, since truncation keeps both: the step is unstable. The
+    rerun goes first and keeps only its reduced endpoint, so its larger
+    matrices are freed before the coordinates are allocated; the comparison
+    still follows the gate. The exact min_eigs are computed only when read.
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
@@ -633,7 +636,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         refined = _reduced_endpoint(params, cutoff + 2, h, steps)
         generator, start, idx, diagonal = _reachable_block(params, cutoff)
-        trace_map = _trace_map(idx, diagonal, fock_dim)
+        trace_map = cached_plan(_trace_map, idx, diagonal, fock_dim)
         rate_map = trace_map @ generator
         step_matrix = _rk4_step_matrix(generator, h)
         del generator
@@ -653,9 +656,12 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     rho_atom = _atom_form(coords @ trace_map.T)
     rho_atom_dot = _atom_form(coords @ rate_map.T)
 
-    if not np.isfinite(refined).all():
-        raise NoConvergence(f"master propagation did not converge: non-finite states "
-                            f"at cutoff {cutoff + 2}")
+    low, high = map(float, eigvalsh(refined)) if np.isfinite(refined).all() else (np.nan,) * 2
+    if not (low >= -UNSTABLE_ENDPOINT and abs(low + high - 1.0) <= UNSTABLE_ENDPOINT):
+        raise NoConvergence(
+            f"master propagation at cutoff {cutoff + 2} is unstable: endpoint eigenvalues "
+            f"{low:.3e}, {high:.3e} are off a state by more than {UNSTABLE_ENDPOINT:.0e}; "
+            f"reduce the step")
     _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
     conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:

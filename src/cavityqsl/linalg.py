@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian spectra, norms over stacks, and
-the cavity partial trace over stacks.
+the cavity partial trace over stacks, and the cache of index plans.
 
 Matrices are plain complex128 numpy arrays in row-major order. Dimensions
 here never exceed a few dozen, so everything is dense and direct. Hermitian
@@ -14,9 +14,41 @@ index = atom_index * fock_dim + fock_index, with atom index 0 = excited,
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .errors import NoConvergence, ValidationError
+
+# Plans kept by cached_plan; a master point uses nine, at two cutoffs.
+PLAN_CACHE_ENTRIES = 64
+
+_plans: OrderedDict = OrderedDict()
+
+
+def cached_plan(build, *key):
+    """build(*key), built once per key and shared: index structure that
+    depends on patterns, not on the values of a point. Arrays in key compare
+    by dtype, shape and bytes. Every array of a plan is made read-only; at
+    most PLAN_CACHE_ENTRIES plans are kept, the least recently used dropped
+    first."""
+    tag = (build, *((k.dtype.str, k.shape, k.tobytes()) if isinstance(k, np.ndarray) else k
+                    for k in key))
+    plan = _plans.pop(tag, None)
+    if plan is None:
+        plan = build(*key)
+        _freeze(plan)
+    _plans[tag] = plan
+    if len(_plans) > PLAN_CACHE_ENTRIES:
+        _plans.popitem(last=False)
+    return plan
+
+
+def _freeze(plan) -> None:
+    if isinstance(plan, np.ndarray):
+        plan.flags.writeable = False
+    for part in plan if isinstance(plan, tuple) else ():
+        _freeze(part)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

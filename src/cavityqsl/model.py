@@ -22,7 +22,7 @@ import numpy as np
 from numpy import kron
 
 from .errors import ValidationError
-from .linalg import dagger, eigvalsh
+from .linalg import cached_plan, dagger, eigvalsh
 
 # Fock cutoff heuristics: with a quiet effective reservoir the dynamics stays
 # in the <=1 excitation sector, so cutoff 2 keeps one spare level to detect
@@ -167,29 +167,31 @@ def annihilation(fock_dim: int) -> np.ndarray:
     return a
 
 
+def _basis(fock_dim: int) -> tuple[np.ndarray, ...]:
+    """The constant joint-space factors of build_operators: P_e (x) I,
+    I (x) n, raise (x) a, lower (x) a†, lower (x) I and I (x) a."""
+    a = annihilation(fock_dim)
+    raise_op = np.array([[0, 1], [0, 0]], dtype=complex)  # |e><g|
+    lower_op = dagger(raise_op)
+    eye_atom, eye_fock = np.eye(2, dtype=complex), np.eye(fock_dim, dtype=complex)
+    return (kron(raise_op @ lower_op, eye_fock), kron(eye_atom, dagger(a) @ a),
+            kron(raise_op, a), kron(lower_op, dagger(a)), kron(lower_op, eye_fock),
+            kron(eye_atom, a))
+
+
 def build_operators(params: SystemParams, cutoff: int) -> ModelOperators:
     """Assemble H and the Lindblad operators on the truncated basis.
 
     H = delta_a P_e (x) I + delta_s I (x) n + g_s (raise (x) a + lower (x) a†)
     with P_e the excited-state projector. Atom-major ordering, excited first.
+    The krons come from cached_plan; a point computes only the scalar sums.
     """
     check_cutoff(cutoff)
     d = derive(params)
-    fock_dim = cutoff + 1
-    a = annihilation(fock_dim)
-    raise_op = np.array([[0, 1], [0, 0]], dtype=complex)  # |e><g|
-    lower_op = dagger(raise_op)
-    eye_atom = np.eye(2, dtype=complex)
-    eye_fock = np.eye(fock_dim, dtype=complex)
-    number = dagger(a) @ a
-    h = (params.delta_a * kron(raise_op @ lower_op, eye_fock)
-         + d.delta_s * kron(eye_atom, number)
-         + d.g_s * (kron(raise_op, a) + kron(lower_op, dagger(a))))
-    return ModelOperators(
-        hamiltonian=h,
-        lindblad_atom=math.sqrt(params.gamma) * kron(lower_op, eye_fock),
-        lindblad_cavity=math.sqrt(params.kappa) * kron(eye_atom, a),
-    )
+    excited, number, raise_a, lower_a_dag, lower, a = cached_plan(_basis, cutoff + 1)
+    h = (params.delta_a * excited + d.delta_s * number + d.g_s * (raise_a + lower_a_dag))
+    return ModelOperators(hamiltonian=h, lindblad_atom=math.sqrt(params.gamma) * lower,
+                          lindblad_cavity=math.sqrt(params.kappa) * a)
 
 
 def bosonic_quadratic_spectrum(delta_c: float, omega_p: float, cutoff: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from cavityqsl.model import (DerivedParams, SystemParams,
                              bosonic_quadratic_spectrum, beta_of,
                              build_operators, derive)
 from cavityqsl.sweep import SweepSpec, grid_values, point_params, run_sweep
+from master_states import states
 
 HALF_PI = math.pi / 2
 
@@ -63,8 +64,9 @@ def _hermiticity_error(traj):
     dim = 2 * (traj.fock_cutoff + 1)
     rows, cols = np.divmod(traj.support, dim)
     full = np.zeros((len(traj.times), dim * dim), dtype=complex)
-    full[:, cols * dim + rows] = np.conj(traj.states)
-    return float(np.abs(traj.states - full[:, traj.support]).max())
+    joint = states(traj)
+    full[:, cols * dim + rows] = np.conj(joint)
+    return float(np.abs(joint - full[:, traj.support]).max())
 
 
 def _recorded_sweep(spec, quality):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
-                                _coalesce, _complex_form, _group_blocks,
+                                _coalesce, _group_blocks,
                                 _oracle_trajectory, _reachable_block,
                                 _rk4_step_matrix, _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
@@ -17,10 +17,13 @@ from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
                                 ode_oracle_coeffs)
 from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
                               PositivityViolated, ValidationError)
-from cavityqsl.linalg import eigvalsh, gate_min_eig, partial_trace_cavity_stack
+from cavityqsl import linalg
+from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
+                              partial_trace_cavity_stack)
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
                              matched_reservoir)
 from cavityqsl.qsl import qsl_time
+from master_states import complex_form, states
 
 # a point from the constrained detuning sweep, quiet reservoir
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
@@ -179,7 +182,7 @@ def joint_states(traj):
     n = len(traj.times)
     dim = 2 * (traj.fock_cutoff + 1)
     full = np.zeros((n, dim * dim), dtype=complex)
-    full[:, traj.support] = traj.states
+    full[:, traj.support] = states(traj)
     return full.reshape(n, dim, dim)
 
 
@@ -340,7 +343,7 @@ def test_analytic_trajectory_structure():
     traj = analytic_trajectory(BASE, steps=400)
     assert traj.times.shape == (401,)
     assert traj.times[0] == 0.0 and traj.times[-1] == BASE.tau
-    assert traj.states is None and traj.support is None
+    assert traj.coords is None and traj.support is None
     assert traj.rho_atom.shape == (401, 2, 2)
     c = analytic_coeffs(BASE, float(traj.times[57]))
     state = np.diag([abs(c.excited_amp) ** 2, abs(c.photon_amp) ** 2])
@@ -544,15 +547,15 @@ def test_real_form_reproduces_block(params, cutoff):
     start = initial_state(params, cutoff + 1).reshape(-1)[idx]
     assert real_generator.dtype == real_start.dtype == np.float64
     assert real_generator.shape == generator.shape
-    assert np.array_equal(_complex_form(real_start, diagonal), start)
+    assert np.array_equal(complex_form(real_start, diagonal), start)
     # on a random Hermitian state of the support, G r is the real form of L vec
     rng = np.random.default_rng(cutoff)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vec = (m + m.conj().T).reshape(-1)[idx]
     real = real_coordinates(vec, diagonal)
-    assert np.array_equal(_complex_form(real, diagonal), vec)
+    assert np.array_equal(complex_form(real, diagonal), vec)
     want = generator @ vec
-    got = _complex_form(real_generator @ real, diagonal)
+    got = complex_form(real_generator @ real, diagonal)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -825,14 +828,14 @@ def test_states_are_rebuilt_from_the_coordinates_on_read(params):
     traj = evolve_master(params, steps=200)
     assert traj.coords.dtype == np.float64
     assert traj.coords.shape == (201, traj.support.size)
-    assert "states" not in vars(traj)
-    states = traj.states
-    assert traj.states is states and states.dtype == complex
-    assert np.array_equal(states, _complex_form(traj.coords, traj._diagonal))
+    # the trajectory keeps no complex states; the tests rebuild them
+    assert not hasattr(traj, "states")
+    joint = states(traj)
+    assert joint.dtype == complex and joint.shape == traj.coords.shape
     # exactly Hermitian: each lower entry is the conjugate of its upper one
     end = (traj.support.size + traj._diagonal) // 2
-    assert np.array_equal(states[:, end:], np.conj(states[:, traj._diagonal:end]))
-    assert not states[:, :traj._diagonal].imag.any()
+    assert np.array_equal(joint[:, end:], np.conj(joint[:, traj._diagonal:end]))
+    assert not joint[:, :traj._diagonal].imag.any()
 
 
 @pytest.mark.parametrize("engine", [evolve_master, analytic_trajectory], ids=["master", "analytic"])
@@ -843,3 +846,58 @@ def test_overflowing_propagation_is_no_convergence(engine, delta_a):
     with pytest.raises(NoConvergence, match="propagation did not converge: non-finite"):
         engine(SystemParams(g=1.0, delta_a=delta_a), steps=100)
 
+
+def master_bytes(traj):
+    return [traj.coords.tobytes(), traj.rho_atom.tobytes(), traj.rho_atom_dot.tobytes(),
+            traj.traces.tobytes(), traj.support.tobytes(), traj.conv_dist]
+
+
+# one point per pattern of L and rho_0: quiet, tilted, orthogonal, an exact
+# zero in H, and noisy
+PATTERNS = [BASE, dataclasses.replace(BASE, alpha=0.3),
+            dataclasses.replace(BASE, alpha=math.pi / 2),
+            dataclasses.replace(BASE, delta_a=0.0), NOISY]
+
+
+def test_plan_cache_is_invisible():
+    cold = []
+    for params in PATTERNS:
+        linalg._plans.clear()
+        cold.append(master_bytes(evolve_master(params, steps=300)))
+    # interleaved, each point finds the plans of all the others
+    for _ in range(2):
+        for params, want in zip(PATTERNS, cold):
+            assert master_bytes(evolve_master(params, steps=300)) == want
+
+
+def plan_arrays(plan):
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for part in plan:
+            yield from plan_arrays(part)
+
+
+def test_cached_plans_are_read_only():
+    linalg._plans.clear()
+    traj = evolve_master(TILTED, steps=100)
+    arrays = [a for plan in linalg._plans.values() for a in plan_arrays(plan)]
+    assert len(linalg._plans) == 9 and len(arrays) > 9
+    for a in arrays + [traj.support]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_plan_cache_holds_at_most_its_cap():
+    linalg._plans.clear()
+    first = master_bytes(evolve_master(BASE, cutoff=1, steps=100))
+    made = set(linalg._plans)
+    first_plans = set(made)
+    for cutoff in range(2, 14):
+        evolve_master(BASE, cutoff=cutoff, steps=100)
+        made |= linalg._plans.keys()
+        assert len(linalg._plans) <= PLAN_CACHE_ENTRIES
+    assert len(made) > PLAN_CACHE_ENTRIES
+    # the plans of cutoff 1 were dropped first and are rebuilt the same
+    assert first_plans - linalg._plans.keys()
+    assert master_bytes(evolve_master(BASE, cutoff=1, steps=100)) == first

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityqsl import linalg
 from cavityqsl.errors import ValidationError
 from cavityqsl.model import (MAX_R_E, NOISY_CUTOFF, QUIET_CUTOFF, SystemParams,
                              annihilation, beta_of, bosonic_quadratic_spectrum,
@@ -168,6 +169,34 @@ def test_lindblad_operators():
     # cavity jump moves |x,1> to |x,0> with weight sqrt(kappa)
     assert ops.lindblad_cavity[0, 1] == pytest.approx(math.sqrt(0.09))
     assert ops.lindblad_cavity[4, 5] == pytest.approx(math.sqrt(0.09) * math.sqrt(2))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 10, 12])
+@pytest.mark.parametrize("params", [
+    SystemParams(g=1.0, r_p=0.3, delta_a=0.7, delta_c=1.3, theta_p=0.4, gamma=0.05,
+                 kappa=0.1, r_e=0.2, theta_e=1.1, alpha=0.6),
+    SystemParams(g=0.8, r_p=0.1, gamma=1e-3, kappa=2e-3)], ids=["generic", "resonant"])
+def test_build_operators_is_the_dense_kron_formula(params, cutoff):
+    # the documented H and jump operators by dense np.kron, bit for bit,
+    # from a cold and from a warm plan cache
+    d = derive(params)
+    fock = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1.0, fock)), 1).astype(complex)
+    raise_op = np.array([[0, 1], [0, 0]], dtype=complex)
+    lower_op = raise_op.conj().T
+    eye_atom, eye_fock = np.eye(2, dtype=complex), np.eye(fock, dtype=complex)
+    h = (params.delta_a * np.kron(raise_op @ lower_op, eye_fock)
+         + d.delta_s * np.kron(eye_atom, a.conj().T @ a)
+         + d.g_s * (np.kron(raise_op, a) + np.kron(lower_op, a.conj().T)))
+    atom = math.sqrt(params.gamma) * np.kron(lower_op, eye_fock)
+    cavity = math.sqrt(params.kappa) * np.kron(eye_atom, a)
+    linalg._plans.clear()
+    for _ in range(2):
+        ops = build_operators(params, cutoff)
+        assert ops.hamiltonian.tobytes() == h.tobytes()
+        assert ops.lindblad_atom.tobytes() == atom.tobytes()
+        assert ops.lindblad_cavity.tobytes() == cavity.tobytes()
+        assert ops.hamiltonian.flags.writeable
 
 
 def test_build_operators_rejects_bad_cutoff():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,9 +14,9 @@ import cavityqsl.errors
 from cavityqsl import cli
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
-from cavityqsl.errors import NumericalError, ValidationError
+from cavityqsl.errors import NoConvergence, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive
-from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec,
+from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row,
                              format_row, grid_values, point_params, run_sweep,
                              write_sweep_csv, write_trajectory_csv)
 
@@ -563,6 +564,38 @@ def test_nan_state_is_an_error_row_not_frozen(tmp_path):
         assert flag.startswith("error:")
         assert issubclass(getattr(cavityqsl.errors, flag[len("error:"):]), NumericalError)
 
+
+
+# a fuzz point whose cutoff 12 rerun is RK4-unstable at 2000 steps while the
+# cutoff 10 run is not: it used to read as a truncation failure at distance
+# 1.2e191, after a numpy overflow warning
+UNSTABLE_RERUN = SystemParams(g=49.962989696152846, delta_a=-4.501924659092477,
+                              theta_p=0.20924688941484645, kappa=19.859707117645705,
+                              r_e=1.4231886291382141e-05, tau=13.716958458202575)
+UNSTABLE_MESSAGE = ("master propagation at cutoff 12 is unstable: endpoint eigenvalues "
+                    r"\S+, \S+ are off a state by more than 1e-06; reduce the step")
+
+
+def test_unstable_rerun_is_a_step_failure_row():
+    row = engine_row(UNSTABLE_RERUN, "master", 0, 0.0, None, None, 2000)
+    assert row.flag == "error:NoConvergence" and row.t_qsl is None
+    with pytest.raises(NoConvergence) as failure:
+        engine_row(UNSTABLE_RERUN, "master", 0, 0.0, None, None, 2000, catch_errors=False)
+    assert re.fullmatch(UNSTABLE_MESSAGE, str(failure.value))
+
+
+def test_unstable_rerun_prints_one_line_and_no_warning():
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["qsl", "--engine", "master"] + [
+        f"--{name}={getattr(UNSTABLE_RERUN, name)!r}"
+        for name in ("g", "delta_a", "theta_p", "kappa", "r_e", "tau")]
+    point = subprocess.run([sys.executable, "-m", "cavityqsl", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert point.returncode == 2
+    lines = point.stderr.splitlines()
+    assert len(lines) == 1 and re.fullmatch("numerical failure: " + UNSTABLE_MESSAGE, lines[0])
 
 
 @pytest.mark.parametrize("engine", ["master", "analytic"])
