@@ -229,20 +229,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Speed-limit dynamics of a driven atom-cavity model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_evolve = sub.add_parser("evolve", help="integrate one trajectory")
-    _add_param_flags(p_evolve)
-    p_evolve.add_argument("--cutoff", type=int, default=None)
-    p_evolve.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p_evolve.add_argument("--out", type=str, default=None)
-    p_evolve.set_defaults(func=_cmd_evolve)
-
-    p_qsl = sub.add_parser("qsl", help="speed-limit summary at one point")
-    _add_param_flags(p_qsl)
-    p_qsl.add_argument("--engine", choices=ENGINES, default="master")
-    p_qsl.add_argument("--cutoff", type=int, default=None)
-    p_qsl.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p_qsl.add_argument("--out", type=str, default=None)
-    p_qsl.set_defaults(func=_cmd_qsl)
+    # evolve and qsl take the same single-point flags; qsl also picks engines
+    for name, text, func in (("evolve", "integrate one trajectory", _cmd_evolve),
+                             ("qsl", "speed-limit summary at one point", _cmd_qsl)):
+        p_point = sub.add_parser(name, help=text)
+        _add_param_flags(p_point)
+        if name == "qsl":
+            p_point.add_argument("--engine", choices=ENGINES, default="master")
+        p_point.add_argument("--cutoff", type=int, default=None)
+        p_point.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+        p_point.add_argument("--out", type=str, default=None)
+        p_point.set_defaults(func=func)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter sweep")
     p_sweep.add_argument("--config", type=str, default=None)

@@ -14,8 +14,9 @@ Two independent routes to the same physics:
   The Lindblad flow keeps rho Hermitian, so the master path works in those
   real coordinates from the Liouvillian entries to the reduced states
   (dgemm instead of zgemm): a real generator, both propagations with the
-  same RK4 polynomial and doubling, the positivity gate and a real
-  partial-trace map. Their index structure depends only on patterns, so
+  same RK4 polynomial and doubling, and a real partial-trace map; the
+  positivity gate forms the complex states (complex_form) a chunk of rows
+  at a time. Their index structure depends only on patterns, so
   linalg.cached_plan builds it once and a point computes only the values.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
@@ -37,7 +38,7 @@ from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
 from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
-                    default_cutoff, derive)
+                    check_cutoff, default_cutoff, derive)
 
 # Below this magnitude the square-root splitting is numerically degenerate
 # and the closed form switches to its series limit.
@@ -515,84 +516,70 @@ def _atom_form(reduced: np.ndarray) -> np.ndarray:
     return reduced.view(complex).reshape(-1, 2, 2)
 
 
+def complex_form(real: np.ndarray, diagonal: int, out: np.ndarray | None = None) -> np.ndarray:
+    """vec(rho)[idx] from real coordinates (..., |idx|) in _reachable_block
+    order, written into out (a new array by default): d and x fill the real
+    parts, y the imaginary parts of the upper entries, and the lower entries
+    are their exact conjugates."""
+    end = (real.shape[-1] + diagonal) // 2
+    if out is None:
+        out = np.empty(real.shape, dtype=complex)
+    out[..., :end] = real[..., :end]
+    out.imag[..., diagonal:end] = real[..., end:]
+    np.conjugate(out[..., diagonal:end], out=out[..., end:])
+    return out
+
+
 def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
                   chunk_bytes: float = np.inf) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(group, block) for each group of basis states over which the
-    (n, dim, dim) stack of matrices whose vec entries idx hold the complex
-    form of the real coordinates coords, all others being zero, is block
-    diagonal; block is the zero-filled (rows, k, k) diagonal block on the k
-    states of group. The rows run in equal chunks, as few as keep the
+    (n, dim, dim) stack of matrices whose vec entries idx hold the
+    complex_form of the real coordinates coords, all others being zero, is
+    block diagonal; block is the zero-filled (rows, k, k) diagonal block on
+    the k states of group. The rows run in equal chunks, as few as keep the
     largest block within chunk_bytes (one chunk of all n rows by default),
     and every group's block of a chunk is yielded before the next chunk.
 
-    idx is closed under transposition (see _reachable_block), so states i
-    and j are linked when entry (i, j) is in idx; each group is the sorted
-    set of states _reachable along links from its lowest state not yet
-    grouped. One table, built once for all groups, names the row of a
-    transposed chunk that each slot of each block reads; the chunk holds
-    the coordinates (d, x, y), then -y, then a row of zeros. A block is
-    gathered with np.take into a (k*k, rows) stack and handed out as its
-    (rows, k, k) view: real parts from d and x, imaginary parts from y for
-    an upper entry and from -y for a lower one, zeros on the diagonal and
-    in the slots outside idx. So each block equals the one cut from the
-    complex states bit for bit. A state with no link belongs to no group:
-    its row and column are zero. Each block is released before the
-    next is built. The groups and the table come from cached_plan.
+    Each chunk is the complex_form of its rows plus one zero column, and a
+    block is that chunk gathered through its group's table from
+    _group_tables, so it equals the block cut from the complex states bit
+    for bit. A state with no link belongs to no group: its row and column
+    are zero. No block is kept here, so each is freed once the caller drops
+    it.
     """
-    groups = cached_plan(_group_plan, idx, diagonal, dim)
+    tables = cached_plan(_group_tables, idx, dim)
     size = idx.size
-    end = (size + diagonal) // 2
-    zero = 2 * size - end
     n = coords.shape[0]
-    widest = max(group.size for group, _, _ in groups)
+    widest = max(group.size for group, _ in tables)
     chunks = -(-n * 16 * widest ** 2 // chunk_bytes) if chunk_bytes < np.inf else 1
     step = -(-n // int(chunks))
     for first in range(0, n, step):
         rows_here = min(step, n - first)
-        chunk = np.empty((zero + 1, rows_here))
-        chunk[:size] = coords[first:first + rows_here].T
-        np.negative(chunk[end:size], out=chunk[size:zero])
-        chunk[zero] = 0.0
-        for group, real_from, imag_from in groups:
-            k = group.size
-            stack = np.empty((k * k, rows_here), dtype=complex)
-            stack.real = np.take(chunk, real_from, axis=0)
-            stack.imag = np.take(chunk, imag_from, axis=0)
-            yield group, stack.reshape(k, k, rows_here).transpose(2, 0, 1)
-            del stack
+        chunk = np.empty((rows_here, size + 1), dtype=complex)
+        complex_form(coords[first:first + rows_here], diagonal, chunk[:, :size])
+        chunk[:, size] = 0.0
+        for group, table in tables:
+            yield group, chunk[:, table]
 
 
-def _group_plan(idx: np.ndarray, diagonal: int, dim: int) -> tuple:
-    """(group, real_from, imag_from) per group of _group_blocks: its states
-    and the chunk rows each slot of its block reads for Re and Im."""
+def _group_tables(idx: np.ndarray, dim: int) -> tuple:
+    """(group, table) per group of _group_blocks. idx is closed under
+    transposition (see _reachable_block), so states i and j are linked when
+    entry (i, j) is in idx; each group is the sorted set of states
+    _reachable along links from its lowest state not yet grouped. table
+    holds, for each entry of the group's (k, k) block, its position in idx,
+    or |idx| (the zero column) for an entry outside idx."""
     rows, cols = np.divmod(idx, dim)
-    local = np.zeros(dim, dtype=int)
-    row_slot = np.zeros(dim, dtype=int)
+    position = np.full(dim * dim, idx.size)
+    position[idx] = np.arange(idx.size)
     left = np.zeros(dim, dtype=bool)
     left[rows] = True
-    groups, slots = [], 0
+    tables = []
     while left.any():
         group = _reachable(rows, cols, np.arange(dim) == np.argmax(left))
         left[group] = False
-        k = group.size
-        local[group] = np.arange(k)
-        row_slot[group] = np.arange(slots, slots + k * k, k)
-        groups.append((group, slots))
-        slots += k * k
-    # the slot of each idx entry in the concatenated blocks, and the row of
-    # a transposed chunk (the coordinates d, x, y, then -y, then 0) that
-    # each slot reads for its real and its imaginary part: x of a lower
-    # entry sits with its upper partner, y and -y of both in order
-    slot = row_slot[rows] + local[cols]
-    size = idx.size
-    end = (size + diagonal) // 2
-    zero = 2 * size - end
-    real_from = np.full(slots, zero)
-    real_from[slot] = np.concatenate((np.arange(end), np.arange(diagonal, end)))
-    imag_from = np.full(slots, zero)
-    imag_from[slot[diagonal:]] = np.arange(end, zero)
-    return tuple((group, real_from[first:first + group.size ** 2],
-                  imag_from[first:first + group.size ** 2]) for group, first in groups)
+        tables.append((group, position[group[:, None] * dim + group]))
+    return tuple(tables)
 
 
 def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
@@ -626,6 +613,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    check_cutoff(cutoff)
     if cutoff is None:
         cutoff = default_cutoff(derive(params))
 

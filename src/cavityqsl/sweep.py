@@ -95,6 +95,8 @@ def _check_axis(prefix: str, variable: str, rng: tuple[float, float, int]) -> No
     start, stop, points = rng
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"{prefix}range endpoints must be finite")
+    if not math.isfinite(stop - start):
+        raise ValidationError(f"{prefix}range span must be finite, got ({start}, {stop})")
     if points < 2:
         raise ValidationError(f"{prefix}range needs points >= 2, got {points}")
     if not start < stop:

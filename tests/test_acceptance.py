@@ -12,13 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityqsl.dynamics import (analytic_coeffs, evolve_master,
+from cavityqsl.dynamics import (analytic_coeffs, complex_form, evolve_master,
                                 liouvillian_superoperator, ode_oracle_coeffs)
 from cavityqsl.model import (DerivedParams, SystemParams,
                              bosonic_quadratic_spectrum, beta_of,
                              build_operators, derive)
 from cavityqsl.sweep import SweepSpec, grid_values, point_params, run_sweep
-from master_states import states
 
 HALF_PI = math.pi / 2
 
@@ -64,7 +63,7 @@ def _hermiticity_error(traj):
     dim = 2 * (traj.fock_cutoff + 1)
     rows, cols = np.divmod(traj.support, dim)
     full = np.zeros((len(traj.times), dim * dim), dtype=complex)
-    joint = states(traj)
+    joint = complex_form(traj.coords, traj._diagonal)
     full[:, cols * dim + rows] = np.conj(joint)
     return float(np.abs(joint - full[:, traj.support]).max())
 

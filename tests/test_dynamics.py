@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
-                                _coalesce, _group_blocks,
+                                _coalesce, _group_blocks, complex_form,
                                 _oracle_trajectory, _reachable_block,
                                 _rk4_step_matrix, _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
@@ -23,7 +23,6 @@ from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
                              matched_reservoir)
 from cavityqsl.qsl import qsl_time
-from master_states import complex_form, states
 
 # a point from the constrained detuning sweep, quiet reservoir
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
@@ -39,6 +38,13 @@ TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
 # unmatched reservoir (n_s = sinh(r_p)^2, m_s != 0): default cutoff 10
 NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
                      theta_p=0.0, gamma=1e-3, kappa=0.05)
+
+# both parity sectors linked by the tilted start: one group of 22 states
+NOISY_TILTED = dataclasses.replace(NOISY, alpha=0.3)
+
+# cos(pi/2) = 6e-17 keeps |e,0> in the support: one group of 3 states at
+# cutoff 2, and three states in no group
+ORTHOGONAL = dataclasses.replace(BASE, alpha=math.pi / 2)
 
 # no symmetry: complex m_s, a squeezed reservoir of its own and a tilted start
 GENERIC = SystemParams(g=1.0, r_p=0.3, delta_a=0.7, delta_c=1.3, theta_p=0.4, gamma=0.05,
@@ -182,7 +188,7 @@ def joint_states(traj):
     n = len(traj.times)
     dim = 2 * (traj.fock_cutoff + 1)
     full = np.zeros((n, dim * dim), dtype=complex)
-    full[:, traj.support] = states(traj)
+    full[:, traj.support] = complex_form(traj.coords, traj._diagonal)
     return full.reshape(n, dim, dim)
 
 
@@ -672,8 +678,9 @@ def test_block_gates_match_padded_stack(params):
     assert np.abs(traj.min_eigs - min_eigs).max() <= 1e-15
 
 
-@pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11])],
-                         ids=["quiet", "tilted", "noisy"])
+@pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11]),
+                                            (NOISY_TILTED, [22]), (ORTHOGONAL, [3])],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted", "orthogonal"])
 def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes):
     traj = evolve_master(params)
     dim = 2 * (traj.fock_cutoff + 1)
@@ -789,7 +796,8 @@ def gate_over(traj, chunk_bytes, floor=POSITIVITY_FLOOR):
         traj.coords, traj.support, traj._diagonal, dim, chunk_bytes))
 
 
-@pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY, NOISY_TILTED, ORTHOGONAL],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted", "orthogonal"])
 def test_gate_over_row_chunks_decides_as_one_pass(params):
     traj = evolve_master(params, steps=300)
     # 2 KiB holds a few rows of an 11 x 11 block: dozens of chunks. A pass
@@ -828,9 +836,9 @@ def test_states_are_rebuilt_from_the_coordinates_on_read(params):
     traj = evolve_master(params, steps=200)
     assert traj.coords.dtype == np.float64
     assert traj.coords.shape == (201, traj.support.size)
-    # the trajectory keeps no complex states; the tests rebuild them
+    # the trajectory keeps no complex states; complex_form rebuilds them
     assert not hasattr(traj, "states")
-    joint = states(traj)
+    joint = complex_form(traj.coords, traj._diagonal)
     assert joint.dtype == complex and joint.shape == traj.coords.shape
     # exactly Hermitian: each lower entry is the conjugate of its upper one
     end = (traj.support.size + traj._diagonal) // 2

@@ -47,6 +47,8 @@ def small_spec(**overrides):
     dict(engine="exact"),
     dict(cutoff=0),
     dict(steps=99),
+    dict(range=(-1e308, 1e308, 3)),
+    dict(second_variable="alpha", second_range=(-1e308, 1e308, 3)),
 ])
 def test_spec_rejects_bad_input(overrides):
     with pytest.raises(ValidationError):
@@ -629,11 +631,12 @@ def test_overflow_prints_one_line_and_no_warning(engine):
     (["qsl", "--r_p", "400"], "r_p must be below threshold"),
     (["qsl", "--r_e", "400", "--engine", "analytic"], "r_e must be <="),
     (["evolve", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+    (["evolve", "--cutoff", "-2"], "cutoff must be >= 1, got -2"),
     (["qsl", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
     (["qsl", "--engine", "analytic", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
     (["check", "--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "qsl_cutoff",
-        "qsl_analytic_cutoff", "check_seed"])
+], ids=["sweep_r_p", "qsl_r_p", "qsl_r_e", "evolve_cutoff", "evolve_negative_cutoff",
+        "qsl_cutoff", "qsl_analytic_cutoff", "check_seed"])
 def test_out_of_range_input_exits_1(command, message, capsys):
     assert cli_main(command) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
