@@ -6,8 +6,8 @@ Subcommands:
   sweep   run a sweep from a config file and/or flags
   check   seeded self-test of the core invariants
 
-Exit codes: 0 success, 1 invalid input or config (or output closed early,
-or out of memory), 2 numerical failure.
+Exit codes: 0 success, 1 invalid input or config (or output that cannot be
+written: a closed pipe, a full device; or out of memory), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -110,19 +110,47 @@ def _collect_flag_settings(args: argparse.Namespace, keys: Sequence[str]) -> dic
     return out
 
 
+class _Output:
+    """The output text stream. A failed write, flush or close is invalid
+    output, raised as one ValidationError; once stdout fails, what it still
+    buffers goes to devnull, so that it does not fail again at exit."""
+
+    def __init__(self, stream: IO[str]) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        return self._call(self.stream.write, text)
+
+    def finish(self) -> None:
+        self._call(self.stream.flush if self.stream is sys.stdout else self.stream.close)
+
+    def _call(self, method: Callable, *args: object) -> object:
+        try:
+            return method(*args)
+        except OSError as exc:
+            if self.stream is sys.stdout:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValidationError("output closed before the run finished"
+                                  if isinstance(exc, BrokenPipeError)
+                                  else f"cannot write output: {exc}") from None
+
+
 @contextlib.contextmanager
-def _out_stream(path: str | None) -> Iterator[IO[str]]:
+def _out_stream(path: str | None) -> Iterator[_Output]:
     """stdout, or the file at path, opened (and truncated) before any work
-    so that a bad path fails fast; a run that fails later leaves it short."""
+    so that a bad path fails fast; a run that fails later leaves it short.
+    Flushed (stdout) or closed (a file) on the way out, failed run or not."""
     if path is None:
-        yield sys.stdout
-        return
+        output = _Output(sys.stdout)
+    else:
+        try:
+            output = _Output(open(path, "w", encoding="utf-8"))
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {path!r}: {exc}") from None
     try:
-        handle = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write output {path!r}: {exc}") from None
-    with handle:
-        yield handle
+        yield output
+    finally:
+        output.finish()
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -207,11 +235,10 @@ def run_checks(seed: int) -> list[tuple[str, bool, str]]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     results = run_checks(args.seed)
-    failed = False
-    for name, ok, detail in results:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        failed = failed or not ok
-    if failed:
+    with _out_stream(None) as stream:
+        for name, ok, detail in results:
+            print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}", file=stream)
+    if not all(ok for _, ok, _ in results):
         raise NumericalError("self-check failed")
     return 0
 
@@ -259,14 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader of stdout is gone; send what is still buffered to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output closed before the run finished", file=sys.stderr)
-        return 1
+        return args.func(args)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

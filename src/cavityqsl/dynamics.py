@@ -38,7 +38,7 @@ from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
 from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
 from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
-                    check_cutoff, default_cutoff, derive)
+                    check_count, check_cutoff, default_cutoff, derive)
 
 # Below this magnitude the square-root splitting is numerically degenerate
 # and the closed form switches to its series limit.
@@ -46,6 +46,12 @@ DEGENERATE_SPLITTING = 1e-8
 
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
+
+
+def check_steps(steps: int) -> None:
+    """The one rule on a step count: an integer of at least MIN_STEPS."""
+    check_count("steps", steps, MIN_STEPS)
+
 
 # Quality gates on master-equation trajectories.
 POSITIVITY_FLOOR = -1e-6
@@ -245,8 +251,7 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     that leave the float range raise NoConvergence.
     """
     _require_excited_start(params)
-    if steps < MIN_STEPS:
-        raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    check_steps(steps)
     d = derive(params)
     times = np.linspace(0.0, params.tau, steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,18 +297,17 @@ def liouvillian_superoperator(ops: ModelOperators,
     the jump terms with c_k != 0 (the others add only zeros) and, in front,
     the H_eff terms (1, -i H_eff, I) and (1, I, i H_eff†). For row-major vec,
     vec(A X B) = (A kron B^T) vec(X), so L is one kron per listed term. No
-    kron and no dense L is formed: _kron_entries lists the products of
-    nonzero factor entries of each kron and _coalesce sums them per position
-    in list order, from zero, as the dense sum would, so the values are that
-    sum bit for bit. Positions whose sum is exactly zero are dropped, so the
-    entries are the exact nonzero pattern of L in row-major order (strictly
-    increasing rows * D + cols for L of shape (D, D)). Built once per
-    trajectory so that time stepping reduces to matrix products.
+    kron and no dense L is formed: a point forms only the products of
+    nonzero factor entries, whose positions _kron_plan finds from the
+    factors' nonzero masks (via cached_plan), and _coalesce sums them per
+    position in list order, from zero, as the dense sum would, so the values
+    are that sum bit for bit. Positions whose sum is exactly zero are
+    dropped, so the entries are the exact nonzero pattern of L in row-major
+    order (strictly increasing rows * D + cols for L of shape (D, D)). Built
+    once per trajectory so that time stepping reduces to matrix products.
     """
     dim = ops.hamiltonian.shape[0]
-    size = dim * dim
-    atom = ops.lindblad_atom
-    cav = ops.lindblad_cavity
+    atom, cav = ops.lindblad_atom, ops.lindblad_cavity
     cav_dag = cav.conj().T
     jumps = [(c, a, b) for c, a, b in ((1.0, atom, atom.conj().T),
                                        (derived.n_s + 1.0, cav, cav_dag),
@@ -313,36 +317,31 @@ def liouvillian_superoperator(ops: ModelOperators,
     h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
     eye = np.eye(dim, dtype=complex)
     terms = [(1.0, -1j * h_eff, eye), (1.0, eye, 1j * h_eff.conj().T), *jumps]
-    parts = [_kron_entries(c, a, b.T, size) for c, a, b in terms]
-    keys, values = _coalesce(*(np.concatenate(p) for p in zip(*parts)))
-    rows, cols = np.divmod(keys, size)
-    return rows, cols, values
+    nonzeros, unique, segment = cached_plan(
+        _kron_plan, *(f != 0 for _, a, b in terms for f in (a, b.T)))
+    values = np.concatenate([c * np.multiply.outer(a[p], b.T[q]).ravel()
+                             for (c, a, b), p, q in zip(terms, nonzeros[::2], nonzeros[1::2])])
+    keys, values = _coalesce(unique, segment, values)
+    return (*np.divmod(keys, dim * dim), values)
 
 
-def _kron_entries(c: complex, x: np.ndarray, y: np.ndarray,
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, values) of c * kron(x, y) in a matrix of `size` columns,
-    key = row * size + col.
-
-    Only the products x[i, k] * y[j, l] of nonzero entries are formed, at
-    row i*p + j and column k*q + l for y of shape (p, q); every other entry
-    of the kron is an exact zero.
-    """
-    xi, xk = np.nonzero(x)
-    yj, yl = np.nonzero(y)
-    keys = np.add.outer(xi * (y.shape[0] * size) + xk * y.shape[1], yj * size + yl).ravel()
-    return keys, c * np.multiply.outer(x[xi, xk], y[yj, yl]).ravel()
+def _kron_plan(*masks: np.ndarray) -> tuple:
+    """(nonzeros, unique, segment) of the krons kron(x, y) for the (D, D)
+    nonzero masks listed x, y, x, y, ...: np.nonzero of each mask, the sorted
+    keys row * D^2 + col of the products x[i, k] y[j, l] of nonzero entries
+    (at row i D + j, column k D + l), and each product's segment in unique."""
+    nonzeros = tuple(np.nonzero(m) for m in masks)
+    dim = masks[0].shape[0]
+    keys = [np.add.outer(xi * dim ** 3 + xk * dim, yj * dim ** 2 + yl).ravel()
+            for (xi, xk), (yj, yl) in zip(nonzeros[::2], nonzeros[1::2])]
+    unique, segment = np.unique(np.concatenate(keys), return_inverse=True)
+    return nonzeros, unique, segment
 
 
-def _coalesce(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly increasing unique keys and the nonzero sums of their values.
-
-    Each sum starts from zero and adds the values of its key in the order
-    they are listed (np.add.at adds one index at a time), as summing them
-    into a dense zero matrix in that order would. Sums that are exactly zero
-    are dropped with their keys. The segments come from cached_plan.
-    """
-    unique, segment = cached_plan(np.unique, keys, False, True)  # return_inverse
+def _coalesce(unique: np.ndarray, segment: np.ndarray, values: np.ndarray) -> tuple:
+    """unique and the sums of values per segment, each from zero in list order
+    (np.add.at adds one index at a time) as a dense zero matrix would sum
+    them, both without the sums that are exactly zero."""
     sums = np.zeros(unique.size, dtype=complex)
     np.add.at(sums, segment, values)
     nonzero = sums != 0
@@ -611,8 +610,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     matrices are freed before the coordinates are allocated; the comparison
     still follows the gate. The exact min_eigs are computed only when read.
     """
-    if steps < MIN_STEPS:
-        raise ValidationError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    check_steps(steps)
     check_cutoff(cutoff)
     if cutoff is None:
         cutoff = default_cutoff(derive(params))

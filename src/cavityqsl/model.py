@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,10 +154,21 @@ def default_cutoff(derived: DerivedParams) -> int:
     return NOISY_CUTOFF
 
 
+def check_count(name: str, value: int, least: int) -> None:
+    """The one rule on a count: an integer (one that operator.index takes, so
+    NumPy integers pass) of at least least."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
 def check_cutoff(cutoff: int | None) -> None:
     """The one rule on a Fock cutoff: at least 1 (None picks default_cutoff)."""
-    if cutoff is not None and cutoff < 1:
-        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff is not None:
+        check_count("cutoff", cutoff, 1)
 
 
 def annihilation(fock_dim: int) -> np.ndarray:

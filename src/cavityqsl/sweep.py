@@ -18,10 +18,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS, MIN_STEPS, Trajectory, analytic_trajectory,
+from .dynamics import (DEFAULT_STEPS, Trajectory, analytic_trajectory, check_steps,
                        evolve_master)
 from .errors import NumericalError, ValidationError
-from .model import SystemParams, check_cutoff, derive, matched_reservoir
+from .model import SystemParams, check_count, check_cutoff, derive, matched_reservoir
 from .model import default_cutoff  # unused: the benchmark tracer wraps this name
 from .qsl import QslResult, qsl_time
 
@@ -70,8 +70,7 @@ class SweepSpec:
             raise ValidationError(
                 "fig2_constrained recomputes delta_c; sweep it in 'free' mode")
         check_cutoff(self.cutoff)
-        if self.steps < MIN_STEPS:
-            raise ValidationError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
+        check_steps(self.steps)
 
     @cached_property
     def points(self) -> tuple[tuple[SystemParams, float, float | None], ...]:
@@ -97,8 +96,7 @@ def _check_axis(prefix: str, variable: str, rng: tuple[float, float, int]) -> No
         raise ValidationError(f"{prefix}range endpoints must be finite")
     if not math.isfinite(stop - start):
         raise ValidationError(f"{prefix}range span must be finite, got ({start}, {stop})")
-    if points < 2:
-        raise ValidationError(f"{prefix}range needs points >= 2, got {points}")
+    check_count(f"{prefix}range points", points, 2)
     if not start < stop:
         raise ValidationError(f"{prefix}range needs start < stop, got ({start}, {stop})")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
-                                _coalesce, _group_blocks, complex_form,
+                                _coalesce, _group_blocks, _kron_plan, complex_form,
                                 _oracle_trajectory, _reachable_block,
                                 _rk4_step_matrix, _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
@@ -336,6 +336,8 @@ def test_closed_form_rejects_superposition_start():
 def test_negative_time_rejected():
     with pytest.raises(ValidationError):
         analytic_coeffs(BASE, -0.1)
+    with pytest.raises(ValidationError, match="t must be >= 0"):
+        ode_oracle_coeffs(BASE, -0.1)
 
 
 def test_min_steps_enforced():
@@ -343,6 +345,23 @@ def test_min_steps_enforced():
         analytic_trajectory(BASE, steps=99)
     with pytest.raises(ValidationError):
         evolve_master(BASE, steps=99)
+
+
+@pytest.mark.parametrize("engine", [analytic_trajectory, evolve_master])
+def test_non_integer_steps_rejected(engine):
+    with pytest.raises(ValidationError, match="steps must be an integer, got 150.5"):
+        engine(BASE, steps=150.5)
+
+
+def test_non_integer_cutoff_rejected():
+    with pytest.raises(ValidationError, match="cutoff must be an integer, got 2.5"):
+        evolve_master(BASE, cutoff=2.5, steps=100)
+
+
+def test_numpy_integer_counts_accepted():
+    traj = evolve_master(BASE, cutoff=np.int64(2), steps=np.int64(100))
+    assert master_bytes(traj) == master_bytes(evolve_master(BASE, cutoff=2, steps=100))
+    assert analytic_trajectory(BASE, steps=np.int32(100)).times.shape == (101,)
 
 
 def test_analytic_trajectory_structure():
@@ -356,6 +375,9 @@ def test_analytic_trajectory_structure():
     assert np.abs(traj.rho_atom[57] - state).max() <= 1e-12
     # trace deficit equals the decayed population, bounded by the decay rates
     assert 0.0 < traj.trace_err <= (BASE.gamma + BASE.kappa) * BASE.tau
+    # rho_atom is diagonal, so its least eigenvalue is the smaller population
+    pop_e, pop_p = traj.rho_atom[:, 0, 0].real, traj.rho_atom[:, 1, 1].real
+    assert traj.min_eigs.tobytes() == np.minimum(pop_e, pop_p).tobytes()
 
 
 def test_analytic_derivative_is_ode_rhs():
@@ -659,14 +681,40 @@ def test_superoperator_entries_are_row_major_and_nonzero(params, cutoff):
 
 
 def test_coalesce_sums_in_listed_order_and_drops_zeros():
-    keys = np.array([7, 3, 7, 7, 3, 1])
+    # the values listed at keys 7, 3, 7, 7, 3, 1
+    unique, segment = np.array([1, 3, 7]), np.array([2, 1, 2, 2, 1, 0])
     values = np.array([1.0, 2.0, 1e16, -1e16, -2.0, 5j])
-    got_keys, sums = _coalesce(keys, values)
+    got_keys, sums = _coalesce(unique, segment, values)
     # key 7 sums (0 + 1) + 1e16 - 1e16 = 0 and key 3 sums to 0: both dropped
     assert np.array_equal(got_keys, [1]) and np.array_equal(sums, [5j])
     # listed the other way round, key 7 sums (0 - 1e16) + 1e16 + 1 = 1
-    got_keys, sums = _coalesce(keys, np.array([-1e16, 2.0, 1e16, 1.0, -2.0, 5j]))
+    got_keys, sums = _coalesce(unique, segment, np.array([-1e16, 2.0, 1e16, 1.0, -2.0, 5j]))
     assert np.array_equal(got_keys, [1, 7]) and np.array_equal(sums, [5j, 1.0])
+
+
+def test_kron_plan_places_each_product_where_the_dense_kron_puts_it():
+    rng = np.random.default_rng(5)
+    masks = [rng.random((4, 4)) < 0.3 for _ in range(6)]
+    nonzeros, unique, segment = _kron_plan(*masks)
+    krons = [np.kron(x, y).ravel() for x, y in zip(masks[::2], masks[1::2])]
+    assert np.array_equal(unique, np.flatnonzero(np.any(krons, axis=0)))
+    ends = np.cumsum([k.sum() for k in krons])[:-1]
+    for kron, x, y, keys in zip(krons, masks[::2], masks[1::2], np.split(unique[segment], ends)):
+        # the products run over the nonzero entries of x, then of y, row-major
+        assert np.array_equal(np.sort(keys), np.flatnonzero(kron))
+        assert keys.size == np.count_nonzero(x) * np.count_nonzero(y)
+    assert all(np.array_equal(n, np.nonzero(m)) for n, m in zip(nonzeros, masks))
+
+
+def test_superoperator_plan_is_keyed_on_the_factor_masks():
+    # without atomic decay, delta_a = 0 zeroes the |e,0> entry of H_eff: a
+    # factor pattern, and so a plan, of its own
+    linalg._plans.clear()
+    for delta_a in (2.0, 0.5, 0.0):
+        params = dataclasses.replace(BASE, gamma=0.0, delta_a=delta_a)
+        ops, d = build_operators(params, 2), derive(params)
+        assert np.array_equal(dense_superoperator(ops, d), dense_kron_superoperator(ops, d))
+    assert sum(key[0] is _kron_plan for key in linalg._plans) == 2
 
 
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])

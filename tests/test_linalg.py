@@ -100,6 +100,15 @@ def test_eigvalsh_nan_input_is_no_convergence(dim):
         eigvalsh(np.full((4, dim, dim), np.nan, dtype=complex))
 
 
+def test_eigvalsh_lapack_failure_is_no_convergence(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        eigvalsh(np.eye(3, dtype=complex)[None])
+
+
 @pytest.mark.parametrize("dim", [3, 11])
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)],
                          ids=["nan", "inf", "imag-nan"])

@@ -49,6 +49,9 @@ def small_spec(**overrides):
     dict(steps=99),
     dict(range=(-1e308, 1e308, 3)),
     dict(second_variable="alpha", second_range=(-1e308, 1e308, 3)),
+    dict(range=(0.0, 1.0, 2.5)),
+    dict(cutoff=2.5),
+    dict(steps=150.5),
 ])
 def test_spec_rejects_bad_input(overrides):
     with pytest.raises(ValidationError):
@@ -461,6 +464,35 @@ def test_closed_stdout_exits_1_without_traceback():
     assert err == "error: output closed before the run finished\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, to_stdout", [
+    (["qsl", "--engine", "analytic", "--out", "/dev/full"], False),
+    (["evolve", "--steps", "100", "--out", "/dev/full"], False),
+    (["qsl", "--engine", "analytic"], True),
+    (["check"], True),
+], ids=["qsl-out", "evolve-out", "qsl-stdout", "check-stdout"])
+def test_full_output_device_exits_1_without_traceback(command, to_stdout):
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cavityqsl", *command], env=env,
+                              stdout=full if to_stdout else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_other_os_errors_are_not_output_errors(monkeypatch, tmp_path):
+    def no_workers(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "run_sweep", no_workers)
+    with pytest.raises(OSError):
+        cli_main(["sweep", "--variable", "delta_a", "--range", "0,1,2",
+                  "--out", str(tmp_path / "x.csv")])
+
+
 def test_failed_allocation_exits_1(monkeypatch, capsys):
     def too_big(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.91 TiB for an array")
@@ -483,6 +515,14 @@ def test_cli_check_passes(capsys):
     assert cli_main(["check", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 3
+
+
+def test_cli_check_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_checks", lambda seed: [("norm-ordering", False, "broken")])
+    assert cli_main(["check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL norm-ordering: broken\n"
+    assert captured.err == "numerical failure: self-check failed\n"
 
 
 def test_run_checks_structure():
