@@ -244,10 +244,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A malformed command line is invalid input: exit 1, not argparse's 2."""
+    """A malformed command line is invalid input: exit 1, not argparse's 2.
+    Help is output: one that cannot be written exits 1 too."""
 
     def error(self, message: str) -> NoReturn:
         raise ValidationError(message)
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        with _out_stream(None) as stream:
+            stream.write(self.format_help())
 
 
 def _build_parser() -> argparse.ArgumentParser:

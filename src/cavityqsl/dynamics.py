@@ -37,7 +37,7 @@ from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
                      PositivityViolated, ValidationError)
 from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
-from .model import (DerivedParams, ModelOperators, SystemParams, build_operators,
+from .model import (DerivedParams, ModelOperators, SystemParams, allocate, build_operators,
                     check_count, check_cutoff, default_cutoff, derive)
 
 # Below this magnitude the square-root splitting is numerically degenerate
@@ -59,12 +59,12 @@ CONVERGENCE_DISTANCE = 1e-8
 # Truncation keeps trace and positivity: a cutoff+2 endpoint off a state
 # by more than this (trace, or least eigenvalue below 0) is a step failure.
 UNSTABLE_ENDPOINT = 1e-6
-# The positivity gate builds its group blocks over equal runs of rows, as
-# few as keep the largest block within this many bytes: one run for a quiet
-# point, two for a superposition start (3 x 3), fifteen for a noisy point
-# (11 x 11). A whole 3 x 3 block with its Cholesky factor would lift a
-# superposition start's heap peak from 0.6 to 1.0 MiB; the noisy gate takes
-# as long at 256 as at 512 KiB.
+# Group blocks, for the positivity gate and min_eigs alike, come in equal
+# runs of rows, as few as keep the largest block within this many bytes:
+# one run for a quiet point, two for a superposition start (3 x 3), fifteen
+# for a noisy point (11 x 11). A whole 3 x 3 block with its Cholesky factor
+# would lift a superposition start's heap peak from 0.6 to 1.0 MiB; the
+# noisy gate takes as long at 256 as at 512 KiB.
 GATE_CHUNK_BYTES = 1 << 18
 
 
@@ -135,8 +135,8 @@ class Trajectory:
         # a state in no group has a zero row and column, so an eigenvalue 0
         grouped = np.unique(self.support // dim).size
         min_eigs = np.zeros(len(self.times)) if grouped < dim else np.full(len(self.times), np.inf)
-        for _, block in _group_blocks(self.coords, self.support, self._diagonal, dim):
-            min_eigs = np.minimum(min_eigs, eigvalsh(block)[:, 0])
+        for rows, _, block in _group_blocks(self.coords, self.support, self._diagonal, dim):
+            min_eigs[rows] = np.minimum(min_eigs[rows], eigvalsh(block)[:, 0])
         return min_eigs
 
     def __post_init__(self) -> None:
@@ -253,7 +253,7 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     _require_excited_start(params)
     check_steps(steps)
     d = derive(params)
-    times = np.linspace(0.0, params.tau, steps + 1)
+    times = allocate(np.linspace, 0.0, params.tau, steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         excited, photon, _, _, _ = _amplitudes(params, times)
         pop_e = np.abs(excited) ** 2
@@ -381,7 +381,7 @@ def _propagate(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarr
     growing height replace a Python loop of steps matrix-vector products.
     The rows are real or complex, as S and vec are.
     """
-    states = np.empty((steps + 1, vec.size), dtype=np.result_type(step_matrix, vec))
+    states = allocate(np.empty, (steps + 1, vec.size), dtype=np.result_type(step_matrix, vec))
     states[0] = vec
     power = step_matrix
     done = 1
@@ -529,15 +529,15 @@ def complex_form(real: np.ndarray, diagonal: int, out: np.ndarray | None = None)
     return out
 
 
-def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
-                  chunk_bytes: float = np.inf) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(group, block) for each group of basis states over which the
+def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int,
+                  dim: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, group, block) for each group of basis states over which the
     (n, dim, dim) stack of matrices whose vec entries idx hold the
     complex_form of the real coordinates coords, all others being zero, is
     block diagonal; block is the zero-filled (rows, k, k) diagonal block on
-    the k states of group. The rows run in equal chunks, as few as keep the
-    largest block within chunk_bytes (one chunk of all n rows by default),
-    and every group's block of a chunk is yielded before the next chunk.
+    the k states of group, rows a slice of the stack. The rows run in equal
+    chunks, as few as keep the largest block within GATE_CHUNK_BYTES, and
+    every group's block of a chunk is yielded before the next chunk.
 
     Each chunk is the complex_form of its rows plus one zero column, and a
     block is that chunk gathered through its group's table from
@@ -550,15 +550,15 @@ def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int, dim: int,
     size = idx.size
     n = coords.shape[0]
     widest = max(group.size for group, _ in tables)
-    chunks = -(-n * 16 * widest ** 2 // chunk_bytes) if chunk_bytes < np.inf else 1
-    step = -(-n // int(chunks))
+    chunks = -(-n * 16 * widest ** 2 // GATE_CHUNK_BYTES)
+    step = -(-n // chunks)
     for first in range(0, n, step):
-        rows_here = min(step, n - first)
-        chunk = np.empty((rows_here, size + 1), dtype=complex)
-        complex_form(coords[first:first + rows_here], diagonal, chunk[:, :size])
+        rows = slice(first, min(first + step, n))
+        chunk = np.empty((rows.stop - first, size + 1), dtype=complex)
+        complex_form(coords[rows], diagonal, chunk[:, :size])
         chunk[:, size] = 0.0
         for group, table in tables:
-            yield group, chunk[:, table]
+            yield rows, group, chunk[:, table]
 
 
 def _group_tables(idx: np.ndarray, dim: int) -> tuple:
@@ -634,8 +634,8 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
                             f"at cutoff {cutoff}")
     # summed in the order of a sum over the padded diagonal
     traces = np.add.reduce(np.ascontiguousarray(coords[:, :diagonal].T), axis=0)
-    worst = min(gate_min_eig(block, POSITIVITY_FLOOR) for _, block in _group_blocks(
-        coords, idx, diagonal, dim, GATE_CHUNK_BYTES))
+    worst = min(gate_min_eig(block, POSITIVITY_FLOOR)
+                for _, _, block in _group_blocks(coords, idx, diagonal, dim))
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")

@@ -54,8 +54,8 @@ class SystemParams:
     alpha: float = 0.0      # initial state angle: cos(a)|e,0> + sin(a)|g,0>
 
     def __post_init__(self) -> None:
-        for name in ("g", "r_p", "delta_a", "delta_c", "theta_p", "gamma",
-                     "kappa", "r_e", "theta_e", "tau", "alpha"):
+        # the field names in order; dataclasses.fields would build a tuple per call
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -165,6 +165,16 @@ def check_count(name: str, value: int, least: int) -> None:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
+def allocate(make, *args, **kwargs) -> np.ndarray:
+    """make(*args, **kwargs), an array sized by valid counts; numpy's
+    ValueError for a size it cannot represent is raised as MemoryError, since
+    such a count is too large for memory."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 def check_cutoff(cutoff: int | None) -> None:
     """The one rule on a Fock cutoff: at least 1 (None picks default_cutoff)."""
     if cutoff is not None:
@@ -173,7 +183,7 @@ def check_cutoff(cutoff: int | None) -> None:
 
 def annihilation(fock_dim: int) -> np.ndarray:
     """Truncated annihilation operator, a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((fock_dim, fock_dim), dtype=complex)
+    a = allocate(np.zeros, (fock_dim, fock_dim), dtype=complex)
     for n in range(1, fock_dim):
         a[n - 1, n] = math.sqrt(n)
     return a

@@ -35,6 +35,9 @@ DEGENERATE = SystemParams(g=0.01, delta_a=1.0, delta_c=1.0, gamma=0.05, kappa=0.
 TILTED = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.03, gamma=1e-3,
                       kappa=1e-3, r_e=0.1, theta_e=math.pi, alpha=math.pi / 4)
 
+# a chunk budget that no stack reaches: _group_blocks makes one pass
+ONE_PASS = 1 << 62
+
 # unmatched reservoir (n_s = sinh(r_p)^2, m_s != 0): default cutoff 10
 NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
                      theta_p=0.0, gamma=1e-3, kappa=0.05)
@@ -729,17 +732,19 @@ def test_block_gates_match_padded_stack(params):
 @pytest.mark.parametrize("params, sizes", [(BASE, [2, 1]), (TILTED, [3]), (NOISY, [11, 11]),
                                             (NOISY_TILTED, [22]), (ORTHOGONAL, [3])],
                          ids=["quiet", "tilted", "noisy", "noisy-tilted", "orthogonal"])
-def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes):
+def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes, monkeypatch):
     traj = evolve_master(params)
+    monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", ONE_PASS)
     dim = 2 * (traj.fock_cutoff + 1)
     rho = joint_states(traj)
     blocks = list(_group_blocks(traj.coords, traj.support, traj._diagonal, dim))
-    assert [group.size for group, _ in blocks] == sizes
-    for group, block in blocks:
+    assert [group.size for _, group, _ in blocks] == sizes
+    for rows, group, block in blocks:
+        assert rows == slice(0, DEFAULT_STEPS + 1)
         # bit for bit, signed zeros included
         assert block.tobytes() == rho[:, group[:, None], group].tobytes()
     # every state off the groups has a zero row and column
-    off = np.setdiff1d(np.arange(dim), np.concatenate([g for g, _ in blocks]))
+    off = np.setdiff1d(np.arange(dim), np.concatenate([g for _, g, _ in blocks]))
     assert not rho[:, off].any() and not rho[:, :, off].any()
 
 
@@ -752,6 +757,21 @@ def test_master_point_peak_memory(params, limit_mib):
     tracemalloc.start()
     try:
         evolve_master(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < limit_mib
+
+
+@pytest.mark.parametrize("params, limit_mib", [(NOISY, 8.0), (NOISY_TILTED, 20.0)],
+                         ids=["noisy", "noisy-tilted"])
+def test_min_eigs_read_peak_memory(params, limit_mib):
+    # min_eigs reads the gate's row chunks; over one chunk of all rows the
+    # same read peaked at 19.0 MiB noisy and 38.4 MiB noisy-tilted
+    evolve_master(params).min_eigs
+    tracemalloc.start()
+    try:
+        evolve_master(params).min_eigs
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -789,7 +809,7 @@ def test_gate_decides_as_eigvalsh(k, margin):
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("entry", ["diagonal", "coherence"])
-def test_non_finite_states_are_no_convergence(params, value, entry):
+def test_non_finite_states_are_no_convergence(params, value, entry, monkeypatch):
     traj = evolve_master(params, steps=200)
     dim = 2 * (traj.fock_cutoff + 1)
     idx, coords, diagonal = traj.support, traj.coords.copy(), traj._diagonal
@@ -798,8 +818,9 @@ def test_non_finite_states_are_no_convergence(params, value, entry):
     else:
         # the y coordinate of an upper entry and its conjugate partner
         coords[150, (idx.size + diagonal) // 2] = value
+    monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", 4096)
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
-        for _, block in _group_blocks(coords, idx, diagonal, dim, chunk_bytes=4096):
+        for _, _, block in _group_blocks(coords, idx, diagonal, dim):
             gate_min_eig(block, POSITIVITY_FLOOR)
 
 
@@ -816,10 +837,11 @@ def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
     qsl_time(traj)
     assert calls == []
     first = traj.min_eigs
-    assert calls == [(DEFAULT_STEPS + 1, 11, 11)] * 2
+    # the gate's 15 row chunks of 2001 rows, each with both 11 x 11 groups
+    assert calls == [(134, 11, 11)] * 28 + [(125, 11, 11)] * 2
     # computed once, then cached
     assert traj.min_eigs is first
-    assert len(calls) == 2
+    assert len(calls) == 30
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 4, 10, 12])
@@ -838,35 +860,46 @@ def test_real_generator_is_the_real_form_of_the_dense_block(params, cutoff):
     assert start.tobytes() == want_start.tobytes()
 
 
-def gate_over(traj, chunk_bytes, floor=POSITIVITY_FLOOR):
+def group_blocks(monkeypatch, traj, chunk_bytes):
+    """The (rows, group, block) of traj's _group_blocks, in chunks of at most
+    chunk_bytes."""
+    monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", chunk_bytes)
     dim = 2 * (traj.fock_cutoff + 1)
-    return min(gate_min_eig(block, floor) for _, block in _group_blocks(
-        traj.coords, traj.support, traj._diagonal, dim, chunk_bytes))
+    return list(_group_blocks(traj.coords, traj.support, traj._diagonal, dim))
+
+
+def gate_over(monkeypatch, traj, chunk_bytes, floor=POSITIVITY_FLOOR):
+    return min(gate_min_eig(block, floor)
+               for _, _, block in group_blocks(monkeypatch, traj, chunk_bytes))
 
 
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY, NOISY_TILTED, ORTHOGONAL],
                          ids=["quiet", "tilted", "noisy", "noisy-tilted", "orthogonal"])
-def test_gate_over_row_chunks_decides_as_one_pass(params):
+def test_gate_over_row_chunks_decides_as_one_pass(params, monkeypatch):
     traj = evolve_master(params, steps=300)
     # 2 KiB holds a few rows of an 11 x 11 block: dozens of chunks. A pass
     # reads +inf for k >= 3 and the exact least eigenvalue for k <= 2.
-    one_pass = gate_over(traj, np.inf)
-    assert gate_over(traj, 2048) == one_pass >= POSITIVITY_FLOOR
+    one_pass = gate_over(monkeypatch, traj, ONE_PASS)
+    assert gate_over(monkeypatch, traj, 2048) == one_pass >= POSITIVITY_FLOOR
     # a floor above the least eigenvalues fails slices in many chunks, and
     # the failed gate still reports the exact least eigenvalue of the stack
     floor = 0.5 * float(traj.min_eigs.max()) + 1e-3
-    assert gate_over(traj, 2048, floor) == gate_over(traj, np.inf, floor) == traj.min_eigs.min()
-    # the chunks of a group, stacked, are its whole block
-    dim = 2 * (traj.fock_cutoff + 1)
-    whole = {tuple(group): block for group, block in _group_blocks(
-        traj.coords, traj.support, traj._diagonal, dim)}
-    pieces = {}
-    for group, block in _group_blocks(traj.coords, traj.support, traj._diagonal, dim, 2048):
-        pieces.setdefault(tuple(group), []).append(block.copy())
+    chunked = gate_over(monkeypatch, traj, 2048, floor)
+    assert chunked == gate_over(monkeypatch, traj, ONE_PASS, floor) == traj.min_eigs.min()
+    # the chunks of a group, stacked, are its whole block, and their row
+    # slices run over the stack in order
+    whole = {tuple(g): block for _, g, block in group_blocks(monkeypatch, traj, ONE_PASS)}
+    pieces, spans = {}, {}
+    for rows, group, block in group_blocks(monkeypatch, traj, 2048):
+        pieces.setdefault(tuple(group), []).append(block)
+        spans.setdefault(tuple(group), []).append((rows.start, rows.stop))
     assert whole.keys() == pieces.keys()
     for key, block in whole.items():
         assert len(pieces[key]) > 1
         assert np.concatenate(pieces[key]).tobytes() == block.tobytes()
+        starts, stops = zip(*spans[key])
+        assert starts[0] == 0 and stops[-1] == len(block) and starts[1:] == stops[:-1]
+        assert [len(piece) for piece in pieces[key]] == [b - a for a, b in spans[key]]
 
 
 def test_failed_gate_over_row_chunks_reports_the_same_value(monkeypatch):

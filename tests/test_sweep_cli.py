@@ -3,20 +3,24 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavityqsl
 import cavityqsl.errors
 from cavityqsl import cli
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
+from cavityqsl.dynamics import DEFAULT_STEPS
 from cavityqsl.errors import NoConvergence, NumericalError, ValidationError
-from cavityqsl.model import SystemParams, derive
-from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row,
+from cavityqsl.model import SystemParams, derive, matched_reservoir
+from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row, engines_of,
                              format_row, grid_values, point_params, run_sweep,
                              write_sweep_csv, write_trajectory_csv)
 
@@ -470,7 +474,9 @@ def test_closed_stdout_exits_1_without_traceback():
     (["evolve", "--steps", "100", "--out", "/dev/full"], False),
     (["qsl", "--engine", "analytic"], True),
     (["check"], True),
-], ids=["qsl-out", "evolve-out", "qsl-stdout", "check-stdout"])
+    (["--help"], True),
+    (["sweep", "--help"], True),
+], ids=["qsl-out", "evolve-out", "qsl-stdout", "check-stdout", "help", "sweep-help"])
 def test_full_output_device_exits_1_without_traceback(command, to_stdout):
     src = str(Path(cavityqsl.__file__).resolve().parent.parent)
     env = dict(os.environ,
@@ -502,6 +508,23 @@ def test_failed_allocation_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["qsl", "--engine", "analytic", "--steps", str(10**20)],
+    ["qsl", "--engine", "analytic", "--steps", str(10**18)],
+    ["evolve", "--steps", str(10**20)],
+    ["evolve", "--steps", str(10**18)],
+    ["sweep", "--variable", "delta_a", "--range", "0,1,2", "--steps", str(10**20)],
+    ["sweep", "--variable", "delta_a", "--range", "0,1,2", "--steps", str(10**18)],
+    ["evolve", "--cutoff", str(10**9)],
+], ids=["qsl-analytic-1e20", "qsl-analytic-1e18", "evolve-1e20", "evolve-1e18",
+        "sweep-1e20", "sweep-1e18", "evolve-cutoff-1e9"])
+def test_counts_numpy_cannot_size_exit_1(command, capsys):
+    assert cli_main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_cli_exit_code_for_numerical_failure(tmp_path):
@@ -638,6 +661,41 @@ def test_unstable_rerun_prints_one_line_and_no_warning():
     assert point.returncode == 2
     lines = point.stderr.splitlines()
     assert len(lines) == 1 and re.fullmatch("numerical failure: " + UNSTABLE_MESSAGE, lines[0])
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+RATE = log_uniform(1e-4, 300.0)
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def domain_params(draw):
+    """A valid SystemParams: log-uniform rates and detunings (of either sign)
+    in [1e-4, 300], tau in [1e-3, 30], a matched or an unmatched reservoir,
+    and a start angle of 0, pi/2 or any in [0, pi]."""
+    params = SystemParams(
+        g=draw(RATE), r_p=draw(st.floats(0.0, 1.5)),
+        delta_a=draw(st.sampled_from([1.0, -1.0])) * draw(RATE),
+        delta_c=draw(st.sampled_from([1.0, -1.0])) * draw(RATE),
+        theta_p=draw(ANGLE), gamma=draw(RATE), kappa=draw(RATE),
+        r_e=draw(st.floats(0.0, 1.5)), theta_e=draw(ANGLE), tau=draw(log_uniform(1e-3, 30.0)),
+        alpha=draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi)))
+    return matched_reservoir(params) if draw(st.booleans()) else params
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=domain_params())
+def test_engine_row_never_raises_or_warns_over_the_domain(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = [engine_row(params, engine, 0, 0.0, None, None, DEFAULT_STEPS)
+                for engine in engines_of("both")]
+    for row in rows:
+        if row.flag in ("ok", "frozen"):
+            assert row.t_op >= row.t_hs >= row.t_tr
 
 
 @pytest.mark.parametrize("engine", ["master", "analytic"])
