@@ -14,7 +14,8 @@ Two independent routes to the same physics:
   The Lindblad flow keeps rho Hermitian, so the master path works in those
   real coordinates from the Liouvillian entries to the reduced states
   (dgemm instead of zgemm): a real generator, both propagations with the
-  same RK4 polynomial and doubling, and a real partial-trace map; the
+  same RK4 polynomial (all rows by doubling, the cutoff+2 endpoint by
+  squarings and matrix-vector products), and a real partial-trace map; the
   positivity gate forms the complex states (complex_form) a chunk of rows
   at a time. Their index structure depends only on patterns, so
   linalg.cached_plan builds it once and a point computes only the values.
@@ -66,6 +67,13 @@ UNSTABLE_ENDPOINT = 1e-6
 # would lift a superposition start's heap peak from 0.6 to 1.0 MiB; the
 # noisy gate takes as long at 256 as at 512 KiB.
 GATE_CHUNK_BYTES = 1 << 18
+# The cutoff+2 endpoint S^steps v squares S only while the exponent left,
+# in units of the current power, is at least this; below it the power is
+# applied by matrix-vector products. A squaring costs 36-52 of them at
+# 242-676 coordinates, so a noisy rerun of 2000 steps stops at S^32 after
+# 5 squarings. Blocks smaller than this (every quiet point and
+# superposition start) keep pure binary powering.
+SQUARING_CROSSOVER = 32
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,7 @@ def _oracle_trajectory(params: SystemParams, t: float, step: float) -> tuple[np.
          [d.g_s, d.delta_s - 0.5j * params.kappa]], dtype=complex)
     n = max(1, math.ceil(t / step)) if t > 0 else 0
     h = t / n if n else 0.0
-    amps = _propagate(_rk4_step_matrix(coupling, h), np.array([1.0 + 0j, 0.0 + 0j]), n)
+    amps = _propagate(_rk4_step_matrix(h * coupling), np.array([1.0 + 0j, 0.0 + 0j]), n)
     return np.linspace(0.0, t, n + 1), amps
 
 
@@ -356,20 +364,27 @@ def initial_state(params: SystemParams, fock_dim: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _rk4_step_matrix(super_op: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step_matrix(hl: np.ndarray) -> np.ndarray:
     """One-step map of classical RK4 for the linear autonomous system.
 
     For vec_dot = L vec the four-stage update collapses exactly to the
     degree-4 Taylor polynomial I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24,
     so precomputing it reproduces RK4 arithmetic at matrix-vector cost.
-    Real or complex, as super_op is.
+    Takes hl = h L, real or complex, and builds S in three arrays: S and
+    two term buffers, reused. The sums are those of I + hl plus each term
+    bit for bit, signed zeros included.
     """
-    hl = h * super_op
-    step = np.eye(super_op.shape[0], dtype=hl.dtype) + hl
-    term = hl
-    for order in (2, 3, 4):
-        term = (hl @ term) / order
-        step += term
+    step = hl + 0.0
+    step.flat[::hl.shape[0] + 1] += 1.0
+    term = hl @ hl
+    term /= 2
+    step += term
+    spare = hl @ term
+    spare /= 3
+    step += spare
+    np.matmul(hl, spare, out=term)
+    term /= 4
+    step += term
     return step
 
 
@@ -395,13 +410,20 @@ def _propagate(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarr
 
 
 def _propagate_endpoint(step_matrix: np.ndarray, vec: np.ndarray, steps: int) -> np.ndarray:
-    """S^steps vec by binary powering: log2(steps) squarings, no stored rows."""
+    """S^steps vec with no stored rows, by binary powering while a squaring
+    pays: once the exponent left falls below SQUARING_CROSSOVER, and the
+    block has at least that many coordinates, the current power is applied
+    by matrix-vector products instead."""
     power = step_matrix
     while True:
         if steps & 1:
             vec = power @ vec
         steps >>= 1
         if not steps:
+            return vec
+        if steps < SQUARING_CROSSOVER <= vec.size:
+            for _ in range(2 * steps):
+                vec = power @ vec
             return vec
         power = power @ power
 
@@ -585,7 +607,8 @@ def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -
     """The 2x2 reduced state after steps RK4 steps of size h at cutoff, by
     _propagate_endpoint; every matrix of the run is freed on return."""
     generator, start, idx, diagonal = _reachable_block(params, cutoff)
-    end = _propagate_endpoint(_rk4_step_matrix(generator, h), start, steps)
+    generator *= h
+    end = _propagate_endpoint(_rk4_step_matrix(generator), start, steps)
     return _atom_form(cached_plan(_trace_map, idx, diagonal, cutoff + 1) @ end)[0]
 
 
@@ -606,9 +629,11 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     converged (trace distance <= 1e-8); a rerun endpoint that is no state
     (trace or least eigenvalue off by more than 1e-6) or not finite raises
     NoConvergence, since truncation keeps both: the step is unstable. The
-    rerun goes first and keeps only its reduced endpoint, so its larger
-    matrices are freed before the coordinates are allocated; the comparison
-    still follows the gate. The exact min_eigs are computed only when read.
+    rerun goes first and computes only its endpoint (_propagate_endpoint:
+    squarings, then matrix-vector products once fewer than
+    SQUARING_CROSSOVER powers are left), so its larger matrices are freed
+    before the coordinates are allocated; the comparison still follows the
+    gate. The exact min_eigs are computed only when read.
     """
     check_steps(steps)
     check_cutoff(cutoff)
@@ -624,7 +649,8 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         generator, start, idx, diagonal = _reachable_block(params, cutoff)
         trace_map = cached_plan(_trace_map, idx, diagonal, fock_dim)
         rate_map = trace_map @ generator
-        step_matrix = _rk4_step_matrix(generator, h)
+        generator *= h
+        step_matrix = _rk4_step_matrix(generator)
         del generator
         coords = _propagate(step_matrix, start, steps)
         del step_matrix

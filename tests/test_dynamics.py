@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, _atom_form,
+from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, SQUARING_CROSSOVER, _atom_form,
                                 _coalesce, _group_blocks, _kron_plan, complex_form,
-                                _oracle_trajectory, _reachable_block,
+                                _oracle_trajectory, _propagate_endpoint, _reachable_block,
                                 _rk4_step_matrix, _trace_map, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
@@ -20,8 +20,8 @@ from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
 from cavityqsl import linalg
 from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
                               partial_trace_cavity_stack)
-from cavityqsl.model import (DerivedParams, SystemParams, build_operators, derive,
-                             matched_reservoir)
+from cavityqsl.model import (DerivedParams, SystemParams, build_operators, default_cutoff,
+                             derive, matched_reservoir)
 from cavityqsl.qsl import qsl_time
 
 # a point from the constrained detuning sweep, quiet reservoir
@@ -212,7 +212,7 @@ def sequential_master_reference(params, cutoff, steps):
     super_op = dense_superoperator(build_operators(params, cutoff), derive(params))
     fock_dim = cutoff + 1
     dim = 2 * fock_dim
-    step_matrix = _rk4_step_matrix(super_op, params.tau / steps)
+    step_matrix = _rk4_step_matrix(params.tau / steps * super_op)
     vec = initial_state(params, fock_dim).reshape(-1)
     states = np.empty((steps + 1, vec.size), dtype=complex)
     states[0] = vec
@@ -619,6 +619,61 @@ def test_master_matches_sequential_full_space_loop(params):
     assert np.abs(traj.rho_atom_dot - rho_atom_dot).max() <= 1e-12
 
 
+def binary_powering_endpoint(step_matrix, vec, steps):
+    """S^steps vec by binary powering alone: log2(steps) squarings."""
+    power = step_matrix
+    while True:
+        if steps & 1:
+            vec = power @ vec
+        steps >>= 1
+        if not steps:
+            return vec
+        power = power @ power
+
+
+def cycles_permutation(lengths):
+    """Permutation matrix made of cycles of the given lengths."""
+    starts = np.cumsum([0, *lengths[:-1]])
+    perm = np.concatenate([np.roll(np.arange(a, a + k), 1) for a, k in zip(starts, lengths)])
+    return np.eye(sum(lengths))[perm]
+
+
+# integer matrices whose powers are exact in float64 and differ up to 10,001
+# steps: I + shift at 5 (binomial entries, below 2^53) and a permutation of
+# order 5 * 7 * 8 * 9 * 11 = 27,720 at 40, one on each side of the crossover
+EXACT_POWERS = [np.eye(5) + np.eye(5, k=1), cycles_permutation([5, 7, 8, 9, 11])]
+
+
+@pytest.mark.parametrize("step_matrix", EXACT_POWERS, ids=["unipotent-5", "permutation-40"])
+def test_endpoint_exponent_is_exact(step_matrix):
+    size = step_matrix.shape[0]
+    assert 5 < SQUARING_CROSSOVER <= 40
+    checked = [*range(1, 301), 2000, 10_001]
+    vec = start = np.arange(1.0, size + 1.0)
+    want = {}
+    for steps in range(1, checked[-1] + 1):
+        vec = step_matrix @ vec
+        want[steps] = vec
+    for steps in checked:
+        assert np.array_equal(_propagate_endpoint(step_matrix, start, steps), want[steps])
+
+
+@pytest.mark.parametrize("params, size", [(BASE, 5), (TILTED, 9), (NOISY, 338),
+                                          (NOISY_TILTED, 676)],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted"])
+def test_endpoint_matches_binary_powering(params, size):
+    # the block of the cutoff+2 rerun
+    generator, start, _, _ = _reachable_block(params, default_cutoff(derive(params)) + 2)
+    assert start.size == size
+    step_matrix = _rk4_step_matrix(params.tau / DEFAULT_STEPS * generator)
+    got = _propagate_endpoint(step_matrix, start, DEFAULT_STEPS)
+    want = binary_powering_endpoint(step_matrix, start, DEFAULT_STEPS)
+    if size < SQUARING_CROSSOVER:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def ordered_support(entries, dim):
     """The transpose closure of vec entries in _reachable_block order, and
     how many lie on the diagonal."""
@@ -748,11 +803,13 @@ def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes, monkeypatch)
     assert not rho[:, off].any() and not rho[:, :, off].any()
 
 
-@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 8.0)],
-                         ids=["quiet", "tilted", "noisy"])
+@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 8.0),
+                                               (NOISY_TILTED, 16.0)],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted"])
 def test_master_point_peak_memory(params, limit_mib):
     # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB
-    # noisy; the noisy coordinates alone are 3.7 MiB
+    # noisy; the noisy coordinates alone are 3.7 MiB. Noisy-tilted peaks in
+    # the cutoff+2 step matrix build: h L, S and two term buffers, 3.5 MiB each
     evolve_master(params)
     tracemalloc.start()
     try:
