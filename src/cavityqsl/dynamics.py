@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,9 @@ GATE_CHUNK_BYTES = 1 << 18
 # superposition start) keep pure binary powering.
 SQUARING_CROSSOVER = 32
 
+# The layout of a reachable block, from the patterns alone (_block_plan).
+BlockPlan = namedtuple("BlockPlan", "idx diagonal kept keys factor trace_map tables")
+
 
 @dataclass(frozen=True)
 class AnalyticCoeffs:
@@ -99,18 +103,19 @@ class Trajectory:
     """Time grid with states and reduced-state derivatives.
 
     On the master path coords holds, at every grid point, the real
-    coordinates (d, x, y) of vec(rho)[support]: the entries of the row-major
-    vectorized joint density matrix that the initial state reaches, all
-    others being exactly zero. support is not sorted: it lists the
-    diagonal entries, the upper entries (i < j) and then the matching
-    (j, i) entries, each ascending; d holds the diagonal entries, x + iy
-    the upper ones and x - iy the lower ones, so the state is exactly
-    Hermitian. support is a read-only array shared by the points of one
-    pattern. coords and support are None on the analytic path (the closed
-    form never builds the joint density matrix). traces and min_eigs are
-    per-step diagnostics and conv_dist summarizes the whole run. min_eigs
-    is computed on first read and cached, since the positivity gate of the
-    master path does not need it.
+    coordinates (d, x, y) of vec(rho)[block.idx]: the entries of the
+    row-major vectorized joint density matrix that the initial state
+    reaches, all others being exactly zero. block is the read-only
+    BlockPlan of _reachable_block, shared by the points of one pattern:
+    block.idx is not sorted, it lists the block.diagonal diagonal entries,
+    the upper entries (i < j) and then the matching (j, i) entries, each
+    ascending; d holds the diagonal entries, x + iy the upper ones and
+    x - iy the lower ones, so the state is exactly Hermitian. coords and
+    block are None on the analytic path (the closed form never builds the
+    joint density matrix). traces and min_eigs are per-step diagnostics and
+    conv_dist summarizes the whole run. min_eigs is computed on first read
+    and cached, since the positivity gate of the master path does not need
+    it.
     """
 
     times: np.ndarray
@@ -120,16 +125,11 @@ class Trajectory:
     traces: np.ndarray
     conv_dist: float
     coords: np.ndarray | None = None
-    support: np.ndarray | None = None
+    block: BlockPlan | None = None
 
     @property
     def trace_err(self) -> float:
         return float(np.abs(self.traces - 1.0).max())
-
-    @property
-    def _diagonal(self) -> int:
-        dim = 2 * (self.fock_cutoff + 1)
-        return int(np.count_nonzero(self.support // dim == self.support % dim))
 
     @cached_property
     def min_eigs(self) -> np.ndarray:
@@ -139,12 +139,12 @@ class Trajectory:
         diagonal, so the smaller population."""
         if self.coords is None:
             return np.minimum(self.rho_atom[:, 0, 0].real, self.rho_atom[:, 1, 1].real)
-        dim = 2 * (self.fock_cutoff + 1)
         # a state in no group has a zero row and column, so an eigenvalue 0
-        grouped = np.unique(self.support // dim).size
-        min_eigs = np.zeros(len(self.times)) if grouped < dim else np.full(len(self.times), np.inf)
-        for rows, _, block in _group_blocks(self.coords, self.support, self._diagonal, dim):
-            min_eigs[rows] = np.minimum(min_eigs[rows], eigvalsh(block)[:, 0])
+        grouped = sum(group.size for group, _ in self.block.tables)
+        ungrouped = grouped < 2 * (self.fock_cutoff + 1)
+        min_eigs = np.full(len(self.times), 0.0 if ungrouped else np.inf)
+        for rows, _, stack in _group_blocks(self.coords, self.block):
+            min_eigs[rows] = np.minimum(min_eigs[rows], eigvalsh(stack)[:, 0])
         return min_eigs
 
     def __post_init__(self) -> None:
@@ -442,10 +442,10 @@ def _reachable(rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndar
 
 
 def _reachable_block(params: SystemParams,
-                     cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(G, r_0, idx, diagonal): the real generator and the real start on the
-    entries idx of vec(rho) that rho_0 reaches, diagonal being how many of
-    them lie on the diagonal.
+                     cutoff: int) -> tuple[np.ndarray, np.ndarray, BlockPlan]:
+    """(G, r_0, block): the real generator and the real start on the entries
+    idx = block.idx of vec(rho) that rho_0 reaches, block.diagonal of them
+    on the diagonal; block is the _block_plan of the patterns.
 
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
     of the Liouvillian L, taken from the entries of liouvillian_superoperator
@@ -466,21 +466,21 @@ def _reachable_block(params: SystemParams,
     transposition; any other support raises. Everything but the values comes
     from cached_plan, keyed on the patterns of L and vec(rho_0).
     """
-    dim = 2 * (cutoff + 1)
     rows, cols, values = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
-    idx, diagonal, kept, keys, factor = cached_plan(_block_plan, dim, rows, cols, vec != 0)
-    values = values[kept]
-    weights = np.concatenate((values.real, values.imag, values.imag, values.real)) * factor
-    size = idx.size
-    generator = np.bincount(keys, weights, minlength=size * size).reshape(size, size)
-    start = vec[idx[:(size + diagonal) // 2]]
-    return generator, np.concatenate((start.real, start[diagonal:].imag)), idx, diagonal
+    block = cached_plan(_block_plan, 2 * (cutoff + 1), rows, cols, vec != 0)
+    values = values[block.kept]
+    weights = np.concatenate((values.real, values.imag, values.imag, values.real)) * block.factor
+    size = block.idx.size
+    generator = np.bincount(block.keys, weights, minlength=size * size).reshape(size, size)
+    start = vec[block.idx[:(size + block.diagonal) // 2]]
+    return generator, np.concatenate((start.real, start[block.diagonal:].imag)), block
 
 
-def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> tuple:
-    """idx, diagonal, the entries of L kept, and the bincount keys and the
-    factors (0 or +-1) of their parts in G, from the patterns alone."""
+def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> BlockPlan:
+    """The BlockPlan of the patterns alone: idx, diagonal, the entries of L
+    kept, the bincount keys and the factors (0 or +-1) of their parts in G,
+    the _trace_map and the _group_tables."""
     reached = _reachable(rows, cols, start)
     state_rows, state_cols = np.divmod(reached, dim)
     transposed = state_cols * dim + state_rows
@@ -508,7 +508,8 @@ def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray)
     key = i * size + j
     keys = np.concatenate((key, key + pairs * size, key + pairs, key + pairs * (size + 1)))
     factor = np.concatenate((np.ones(kept.size), y_row, -sign * y_col, sign * (y_row & y_col)))
-    return idx, diagonal, kept, keys, factor
+    return BlockPlan(idx, diagonal, kept, keys, factor, _trace_map(idx, diagonal, dim // 2),
+                     _group_tables(idx, dim))
 
 
 def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
@@ -551,35 +552,33 @@ def complex_form(real: np.ndarray, diagonal: int, out: np.ndarray | None = None)
     return out
 
 
-def _group_blocks(coords: np.ndarray, idx: np.ndarray, diagonal: int,
-                  dim: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+def _group_blocks(coords: np.ndarray,
+                  plan: BlockPlan) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(rows, group, block) for each group of basis states over which the
-    (n, dim, dim) stack of matrices whose vec entries idx hold the
-    complex_form of the real coordinates coords, all others being zero, is
+    (n, 2F, 2F) stack (F Fock levels) of matrices whose vec entries plan.idx
+    hold the complex_form of the real coordinates coords, all others zero, is
     block diagonal; block is the zero-filled (rows, k, k) diagonal block on
     the k states of group, rows a slice of the stack. The rows run in equal
     chunks, as few as keep the largest block within GATE_CHUNK_BYTES, and
     every group's block of a chunk is yielded before the next chunk.
 
     Each chunk is the complex_form of its rows plus one zero column, and a
-    block is that chunk gathered through its group's table from
-    _group_tables, so it equals the block cut from the complex states bit
-    for bit. A state with no link belongs to no group: its row and column
-    are zero. No block is kept here, so each is freed once the caller drops
-    it.
+    block is that chunk gathered through its group's table in plan.tables,
+    so it equals the block cut from the complex states bit for bit. A state
+    with no link belongs to no group: its row and column are zero. No block
+    is kept here, so each is freed once the caller drops it.
     """
-    tables = cached_plan(_group_tables, idx, dim)
-    size = idx.size
+    size = plan.idx.size
     n = coords.shape[0]
-    widest = max(group.size for group, _ in tables)
+    widest = max(group.size for group, _ in plan.tables)
     chunks = -(-n * 16 * widest ** 2 // GATE_CHUNK_BYTES)
     step = -(-n // chunks)
     for first in range(0, n, step):
         rows = slice(first, min(first + step, n))
         chunk = np.empty((rows.stop - first, size + 1), dtype=complex)
-        complex_form(coords[rows], diagonal, chunk[:, :size])
+        complex_form(coords[rows], plan.diagonal, chunk[:, :size])
         chunk[:, size] = 0.0
-        for group, table in tables:
+        for group, table in plan.tables:
             yield rows, group, chunk[:, table]
 
 
@@ -606,10 +605,10 @@ def _group_tables(idx: np.ndarray, dim: int) -> tuple:
 def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
     """The 2x2 reduced state after steps RK4 steps of size h at cutoff, by
     _propagate_endpoint; every matrix of the run is freed on return."""
-    generator, start, idx, diagonal = _reachable_block(params, cutoff)
+    generator, start, block = _reachable_block(params, cutoff)
     generator *= h
     end = _propagate_endpoint(_rk4_step_matrix(generator), start, steps)
-    return _atom_form(cached_plan(_trace_map, idx, diagonal, cutoff + 1) @ end)[0]
+    return _atom_form(block.trace_map @ end)[0]
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -640,15 +639,11 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     if cutoff is None:
         cutoff = default_cutoff(derive(params))
 
-    n = steps + 1
-    fock_dim = cutoff + 1
-    dim = 2 * fock_dim
     h = params.tau / steps
     with np.errstate(over="ignore", invalid="ignore"):
         refined = _reduced_endpoint(params, cutoff + 2, h, steps)
-        generator, start, idx, diagonal = _reachable_block(params, cutoff)
-        trace_map = cached_plan(_trace_map, idx, diagonal, fock_dim)
-        rate_map = trace_map @ generator
+        generator, start, block = _reachable_block(params, cutoff)
+        rate_map = block.trace_map @ generator
         generator *= h
         step_matrix = _rk4_step_matrix(generator)
         del generator
@@ -659,13 +654,13 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         raise NoConvergence(f"master propagation did not converge: non-finite states "
                             f"at cutoff {cutoff}")
     # summed in the order of a sum over the padded diagonal
-    traces = np.add.reduce(np.ascontiguousarray(coords[:, :diagonal].T), axis=0)
-    worst = min(gate_min_eig(block, POSITIVITY_FLOOR)
-                for _, _, block in _group_blocks(coords, idx, diagonal, dim))
+    traces = np.add.reduce(np.ascontiguousarray(coords[:, :block.diagonal].T), axis=0)
+    worst = min(gate_min_eig(stack, POSITIVITY_FLOOR)
+                for _, _, stack in _group_blocks(coords, block))
     if not worst >= POSITIVITY_FLOOR:
         raise PositivityViolated(
             f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
-    rho_atom = _atom_form(coords @ trace_map.T)
+    rho_atom = _atom_form(coords @ block.trace_map.T)
     rho_atom_dot = _atom_form(coords @ rate_map.T)
 
     low, high = map(float, eigvalsh(refined)) if np.isfinite(refined).all() else (np.nan,) * 2
@@ -682,12 +677,12 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
             f"{conv_dist:.3e} exceeds {CONVERGENCE_DISTANCE:.1e}")
 
     return Trajectory(
-        times=np.linspace(0.0, params.tau, n),
+        times=np.linspace(0.0, params.tau, steps + 1),
         rho_atom=rho_atom,
         rho_atom_dot=rho_atom_dot,
         fock_cutoff=cutoff,
         traces=traces,
         conv_dist=conv_dist,
         coords=coords,
-        support=idx,
+        block=block,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# Plans kept by cached_plan; a master point uses nine, at two cutoffs.
+# Plans kept by cached_plan; a master point uses six, three at each of two cutoffs.
 PLAN_CACHE_ENTRIES = 64
 
 _plans: OrderedDict = OrderedDict()

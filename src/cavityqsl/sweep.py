@@ -205,8 +205,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     than points; each point is computed independently, so the result is
     bit-identical to the sequential run.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, 1)
     indices = range(len(spec.points))  # builds, and so checks, the whole grid first
     workers = min(workers, len(indices))
     if workers == 1:

@@ -61,11 +61,11 @@ def _hermiticity_error(traj):
     trajectory, the imaginary parts of the diagonal entries included; an
     entry whose transpose lies outside the support is compared with 0."""
     dim = 2 * (traj.fock_cutoff + 1)
-    rows, cols = np.divmod(traj.support, dim)
+    rows, cols = np.divmod(traj.block.idx, dim)
     full = np.zeros((len(traj.times), dim * dim), dtype=complex)
-    joint = complex_form(traj.coords, traj._diagonal)
+    joint = complex_form(traj.coords, traj.block.diagonal)
     full[:, cols * dim + rows] = np.conj(joint)
-    return float(np.abs(joint - full[:, traj.support]).max())
+    return float(np.abs(joint - full[:, traj.block.idx]).max())
 
 
 def _recorded_sweep(spec, quality):

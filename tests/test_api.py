@@ -1,7 +1,9 @@
 """The public surface, pinned: changing it means editing this file and
 recording the change in CHANGES.md."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import cavityqsl
 import cavityqsl.errors
@@ -45,3 +47,27 @@ def test_errors_are_the_two_families_and_four_flags():
     assert set(defined) == set(ERRORS)
     for name, base in ERRORS.items():
         assert defined[name].__bases__ == (base,), name
+
+
+# Imported only so that the benchmark tracer can wrap the name where the
+# module looks it up; ROADMAP item 3 drops them with the tracer's entries.
+TRACER_ONLY = {("dynamics", "partial_trace_cavity_stack"), ("sweep", "default_cutoff")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ re-exports every name it imports, so it is left out
+    unused = set()
+    for path in Path(cavityqsl.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused |= {(path.stem, name) for name in bound if name not in used}
+    assert unused == TRACER_ONLY

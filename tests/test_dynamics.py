@@ -191,7 +191,7 @@ def joint_states(traj):
     n = len(traj.times)
     dim = 2 * (traj.fock_cutoff + 1)
     full = np.zeros((n, dim * dim), dtype=complex)
-    full[:, traj.support] = complex_form(traj.coords, traj._diagonal)
+    full[:, traj.block.idx] = complex_form(traj.coords, traj.block.diagonal)
     return full.reshape(n, dim, dim)
 
 
@@ -371,7 +371,7 @@ def test_analytic_trajectory_structure():
     traj = analytic_trajectory(BASE, steps=400)
     assert traj.times.shape == (401,)
     assert traj.times[0] == 0.0 and traj.times[-1] == BASE.tau
-    assert traj.coords is None and traj.support is None
+    assert traj.coords is None and traj.block is None
     assert traj.rho_atom.shape == (401, 2, 2)
     c = analytic_coeffs(BASE, float(traj.times[57]))
     state = np.diag([abs(c.excited_amp) ** 2, abs(c.photon_amp) ** 2])
@@ -517,8 +517,8 @@ def test_hot_reservoir_needs_headroom():
     (NEGATIVE_PHASE, 2, 5)])
 def test_reachable_block_is_closed(params, cutoff, size):
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
-    block = _reachable_block(params, cutoff)
-    idx = block[2]
+    generator, start, block = _reachable_block(params, cutoff)
+    idx = block.idx
     assert idx.size == size
     outside = np.setdiff1d(np.arange(full.shape[0]), idx)
     assert (full[np.ix_(outside, idx)] == 0).all()
@@ -527,14 +527,14 @@ def test_reachable_block_is_closed(params, cutoff, size):
     assert (vec[outside] == 0).all()
     # bit for bit the real form of the block taken from the dense L
     want = dense_reachable_block(full, vec, 2 * (cutoff + 1))
-    assert block[3] == want[3]
-    assert block[2].tobytes() == want[2].tobytes()
+    assert block.diagonal == want[3]
+    assert idx.tobytes() == want[2].tobytes()
     ref_generator, ref_start = real_form(*want[:2], want[3])
-    assert block[0].dtype == block[1].dtype == np.float64
-    assert block[1].tobytes() == ref_start.tobytes()
-    assert block[0].shape == ref_generator.shape
+    assert generator.dtype == start.dtype == np.float64
+    assert start.tobytes() == ref_start.tobytes()
+    assert generator.shape == ref_generator.shape
     # every nonzero entry bit for bit; a zero may differ in sign
-    assert np.array_equal(block[0], ref_generator)
+    assert np.array_equal(generator, ref_generator)
 
 
 def test_reachable_block_peak_memory():
@@ -557,7 +557,8 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
                                                            alpha, cutoff):
     params = SystemParams(g=1.0, r_p=r_p, delta_a=0.7, delta_c=1.3, theta_p=theta_p,
                           gamma=0.05, kappa=0.1, r_e=r_e, theta_e=theta_e, alpha=alpha)
-    _, _, idx, diagonal = _reachable_block(params, cutoff)
+    _, _, block = _reachable_block(params, cutoff)
+    idx, diagonal = block.idx, block.diagonal
     dim = 2 * (cutoff + 1)
     end = (idx.size + diagonal) // 2
     assert idx.size == 2 * end - diagonal
@@ -571,7 +572,8 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (BASE, 4), (TILTED, 2), (TILTED, 4),
                                             (NOISY, 10), (NOISY, 12)])
 def test_real_form_reproduces_block(params, cutoff):
-    real_generator, real_start, idx, diagonal = _reachable_block(params, cutoff)
+    real_generator, real_start, block = _reachable_block(params, cutoff)
+    idx, diagonal = block.idx, block.diagonal
     dim = 2 * (cutoff + 1)
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
     generator = full[np.ix_(idx, idx)]
@@ -663,7 +665,7 @@ def test_endpoint_exponent_is_exact(step_matrix):
                          ids=["quiet", "tilted", "noisy", "noisy-tilted"])
 def test_endpoint_matches_binary_powering(params, size):
     # the block of the cutoff+2 rerun
-    generator, start, _, _ = _reachable_block(params, default_cutoff(derive(params)) + 2)
+    generator, start, _ = _reachable_block(params, default_cutoff(derive(params)) + 2)
     assert start.size == size
     step_matrix = _rk4_step_matrix(params.tau / DEFAULT_STEPS * generator)
     got = _propagate_endpoint(step_matrix, start, DEFAULT_STEPS)
@@ -792,7 +794,7 @@ def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes, monkeypatch)
     monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", ONE_PASS)
     dim = 2 * (traj.fock_cutoff + 1)
     rho = joint_states(traj)
-    blocks = list(_group_blocks(traj.coords, traj.support, traj._diagonal, dim))
+    blocks = list(_group_blocks(traj.coords, traj.block))
     assert [group.size for _, group, _ in blocks] == sizes
     for rows, group, block in blocks:
         assert rows == slice(0, DEFAULT_STEPS + 1)
@@ -868,8 +870,7 @@ def test_gate_decides_as_eigvalsh(k, margin):
 @pytest.mark.parametrize("entry", ["diagonal", "coherence"])
 def test_non_finite_states_are_no_convergence(params, value, entry, monkeypatch):
     traj = evolve_master(params, steps=200)
-    dim = 2 * (traj.fock_cutoff + 1)
-    idx, coords, diagonal = traj.support, traj.coords.copy(), traj._diagonal
+    idx, coords, diagonal = traj.block.idx, traj.coords.copy(), traj.block.diagonal
     if entry == "diagonal":
         coords[150, diagonal - 1] = value
     else:
@@ -877,7 +878,7 @@ def test_non_finite_states_are_no_convergence(params, value, entry, monkeypatch)
         coords[150, (idx.size + diagonal) // 2] = value
     monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", 4096)
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
-        for _, _, block in _group_blocks(coords, idx, diagonal, dim):
+        for _, _, block in _group_blocks(coords, traj.block):
             gate_min_eig(block, POSITIVITY_FLOOR)
 
 
@@ -905,7 +906,8 @@ def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY, GENERIC],
                          ids=["quiet", "tilted", "noisy", "generic"])
 def test_real_generator_is_the_real_form_of_the_dense_block(params, cutoff):
-    generator, start, idx, diagonal = _reachable_block(params, cutoff)
+    generator, start, plan = _reachable_block(params, cutoff)
+    idx, diagonal = plan.idx, plan.diagonal
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
     block, block_start, want_idx, want_diagonal = dense_reachable_block(full, vec, 2 * (cutoff + 1))
@@ -921,8 +923,7 @@ def group_blocks(monkeypatch, traj, chunk_bytes):
     """The (rows, group, block) of traj's _group_blocks, in chunks of at most
     chunk_bytes."""
     monkeypatch.setattr("cavityqsl.dynamics.GATE_CHUNK_BYTES", chunk_bytes)
-    dim = 2 * (traj.fock_cutoff + 1)
-    return list(_group_blocks(traj.coords, traj.support, traj._diagonal, dim))
+    return list(_group_blocks(traj.coords, traj.block))
 
 
 def gate_over(monkeypatch, traj, chunk_bytes, floor=POSITIVITY_FLOOR):
@@ -973,15 +974,16 @@ def test_failed_gate_over_row_chunks_reports_the_same_value(monkeypatch):
 def test_states_are_rebuilt_from_the_coordinates_on_read(params):
     traj = evolve_master(params, steps=200)
     assert traj.coords.dtype == np.float64
-    assert traj.coords.shape == (201, traj.support.size)
+    assert traj.coords.shape == (201, traj.block.idx.size)
     # the trajectory keeps no complex states; complex_form rebuilds them
     assert not hasattr(traj, "states")
-    joint = complex_form(traj.coords, traj._diagonal)
+    diagonal = traj.block.diagonal
+    joint = complex_form(traj.coords, diagonal)
     assert joint.dtype == complex and joint.shape == traj.coords.shape
     # exactly Hermitian: each lower entry is the conjugate of its upper one
-    end = (traj.support.size + traj._diagonal) // 2
-    assert np.array_equal(joint[:, end:], np.conj(joint[:, traj._diagonal:end]))
-    assert not joint[:, :traj._diagonal].imag.any()
+    end = (traj.block.idx.size + diagonal) // 2
+    assert np.array_equal(joint[:, end:], np.conj(joint[:, diagonal:end]))
+    assert not joint[:, :diagonal].imag.any()
 
 
 @pytest.mark.parametrize("engine", [evolve_master, analytic_trajectory], ids=["master", "analytic"])
@@ -995,7 +997,7 @@ def test_overflowing_propagation_is_no_convergence(engine, delta_a):
 
 def master_bytes(traj):
     return [traj.coords.tobytes(), traj.rho_atom.tobytes(), traj.rho_atom_dot.tobytes(),
-            traj.traces.tobytes(), traj.support.tobytes(), traj.conv_dist]
+            traj.traces.tobytes(), traj.block.idx.tobytes(), traj.conv_dist]
 
 
 # one point per pattern of L and rho_0: quiet, tilted, orthogonal, an exact
@@ -1027,11 +1029,24 @@ def plan_arrays(plan):
 def test_cached_plans_are_read_only():
     linalg._plans.clear()
     traj = evolve_master(TILTED, steps=100)
+    # at each cutoff: the basis krons, the Liouvillian's and the block's plan
     arrays = [a for plan in linalg._plans.values() for a in plan_arrays(plan)]
-    assert len(linalg._plans) == 9 and len(arrays) > 9
-    for a in arrays + [traj.support]:
+    assert len(linalg._plans) == 6 and len(arrays) > 9
+    for a in arrays + [traj.block.idx]:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+    traj.min_eigs
+    assert len(linalg._plans) == 6
+
+
+@pytest.mark.parametrize("params", [TILTED, NOISY], ids=["tilted", "noisy"])
+def test_min_eigs_read_builds_no_plan(params):
+    # the trajectory carries its block's plan, group tables included
+    traj = evolve_master(params, steps=300)
+    linalg._plans.clear()
+    cold = traj.min_eigs
+    assert not linalg._plans
+    assert cold.tobytes() == evolve_master(params, steps=300).min_eigs.tobytes()
 
 
 def test_plan_cache_holds_at_most_its_cap():
@@ -1039,7 +1054,8 @@ def test_plan_cache_holds_at_most_its_cap():
     first = master_bytes(evolve_master(BASE, cutoff=1, steps=100))
     made = set(linalg._plans)
     first_plans = set(made)
-    for cutoff in range(2, 14):
+    # three plans per cutoff, cutoffs 1 to 23
+    for cutoff in range(2, 22):
         evolve_master(BASE, cutoff=cutoff, steps=100)
         made |= linalg._plans.keys()
         assert len(linalg._plans) <= PLAN_CACHE_ENTRIES

@@ -181,8 +181,20 @@ def test_run_sweep_worker_count_does_not_change_output():
 
 
 def test_run_sweep_rejects_bad_worker_count():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
         run_sweep(small_spec(), workers=0)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", None])
+def test_run_sweep_rejects_non_integer_worker_count(workers, monkeypatch):
+    # the check comes before any pool; a stand-in fails the test if one starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cavityqsl.sweep, "ProcessPoolExecutor", no_pool)
+    message = re.escape(f"workers must be an integer, got {workers!r}")
+    with pytest.raises(ValidationError, match=message):
+        run_sweep(small_spec(), workers=workers)
 
 
 def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
