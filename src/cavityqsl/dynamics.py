@@ -13,12 +13,14 @@ Two independent routes to the same physics:
   the diagonal, then the real and imaginary parts of the upper entries.
   The Lindblad flow keeps rho Hermitian, so the master path works in those
   real coordinates from the Liouvillian entries to the reduced states
-  (dgemm instead of zgemm): a real generator, both propagations with the
-  same RK4 polynomial (all rows by doubling, the cutoff+2 endpoint by
-  squarings and matrix-vector products), and a real partial-trace map; the
-  positivity gate forms the complex states (complex_form) a chunk of rows
-  at a time. Their index structure depends only on patterns, so
-  linalg.cached_plan builds it once and a point computes only the values.
+  (dgemm instead of zgemm): a real generator, the RK4 polynomial (all rows
+  by doubling), and a real partial-trace map; the positivity gate forms the
+  complex states (complex_form) a chunk of rows at a time. The truncation
+  is certified from the cutoff run by a Duhamel bound, or, where that
+  fails, checked by a cutoff+2 rerun of the endpoint alone (squarings and
+  matrix-vector products). Their index structure depends only on
+  patterns, so linalg.cached_plan builds it once and a point computes only
+  the values.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -58,6 +60,16 @@ def check_steps(steps: int) -> None:
 # Quality gates on master-equation trajectories.
 POSITIVITY_FLOOR = -1e-6
 CONVERGENCE_DISTANCE = 1e-8
+# A cutoff run whose truncation certificate (_truncation_bound) is at most
+# this needs no cutoff+2 rerun. The certificate bounds the exact flows, and
+# the RK4 endpoints of a noisy point differ from them by about 2e-13, so it
+# sits 10x below CONVERGENCE_DISTANCE; a noisy point reads 1e-13 to 3e-10.
+CERTIFIED_DISTANCE = 1e-9
+# ... and whose step h times the largest column sum of |L| at cutoff+2 is at
+# most this: RK4 is stable on the left half-disk of radius 2.6, which then
+# holds the spectrum of h L. Noisy points read about 0.02; a rerun that RK4
+# cannot keep stable reads above 5.
+STABLE_STEP_NORM = 1.0
 # Truncation keeps trace and positivity: a cutoff+2 endpoint off a state
 # by more than this (trace, or least eigenvalue below 0) is a step failure.
 UNSTABLE_ENDPOINT = 1e-6
@@ -113,9 +125,12 @@ class Trajectory:
     x - iy the lower ones, so the state is exactly Hermitian. coords and
     block are None on the analytic path (the closed form never builds the
     joint density matrix). traces and min_eigs are per-step diagnostics and
-    conv_dist summarizes the whole run. min_eigs is computed on first read
-    and cached, since the positivity gate of the master path does not need
-    it.
+    conv_dist summarizes the whole run: on the master path it is the
+    measured cutoff vs cutoff+2 endpoint trace distance on a row that ran
+    the rerun, and the truncation certificate, a bound on that distance,
+    on a certified row (see evolve_master). min_eigs is computed on first
+    read and cached, since the positivity gate of the master path does not
+    need it.
     """
 
     times: np.ndarray
@@ -441,11 +456,12 @@ def _reachable(rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndar
     return np.flatnonzero(inside)
 
 
-def _reachable_block(params: SystemParams,
-                     cutoff: int) -> tuple[np.ndarray, np.ndarray, BlockPlan]:
+def _reachable_block(params: SystemParams, cutoff: int,
+                     entries: tuple | None = None) -> tuple[np.ndarray, np.ndarray, BlockPlan]:
     """(G, r_0, block): the real generator and the real start on the entries
     idx = block.idx of vec(rho) that rho_0 reaches, block.diagonal of them
-    on the diagonal; block is the _block_plan of the patterns.
+    on the diagonal; block is the _block_plan of the patterns. entries are
+    the liouvillian_superoperator of params at cutoff, built here if None.
 
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
     of the Liouvillian L, taken from the entries of liouvillian_superoperator
@@ -466,7 +482,9 @@ def _reachable_block(params: SystemParams,
     transposition; any other support raises. Everything but the values comes
     from cached_plan, keyed on the patterns of L and vec(rho_0).
     """
-    rows, cols, values = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    if entries is None:
+        entries = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    rows, cols, values = entries
     vec = initial_state(params, cutoff + 1).reshape(-1)
     block = cached_plan(_block_plan, 2 * (cutoff + 1), rows, cols, vec != 0)
     values = values[block.kept]
@@ -569,17 +587,22 @@ def _group_blocks(coords: np.ndarray,
     is kept here, so each is freed once the caller drops it.
     """
     size = plan.idx.size
-    n = coords.shape[0]
-    widest = max(group.size for group, _ in plan.tables)
-    chunks = -(-n * 16 * widest ** 2 // GATE_CHUNK_BYTES)
-    step = -(-n // chunks)
-    for first in range(0, n, step):
-        rows = slice(first, min(first + step, n))
-        chunk = np.empty((rows.stop - first, size + 1), dtype=complex)
+    for rows in _row_chunks(coords.shape[0], plan):
+        chunk = np.empty((rows.stop - rows.start, size + 1), dtype=complex)
         complex_form(coords[rows], plan.diagonal, chunk[:, :size])
         chunk[:, size] = 0.0
         for group, table in plan.tables:
             yield rows, group, chunk[:, table]
+
+
+def _row_chunks(n: int, plan: BlockPlan) -> Iterator[slice]:
+    """The one chunk rule: n rows in equal runs, as few as keep the largest
+    complex group block of plan within GATE_CHUNK_BYTES."""
+    widest = max(group.size for group, _ in plan.tables)
+    chunks = -(-n * 16 * widest ** 2 // GATE_CHUNK_BYTES)
+    step = -(-n // chunks)
+    for first in range(0, n, step):
+        yield slice(first, min(first + step, n))
 
 
 def _group_tables(idx: np.ndarray, dim: int) -> tuple:
@@ -600,6 +623,92 @@ def _group_tables(idx: np.ndarray, dim: int) -> tuple:
         left[group] = False
         tables.append((group, position[group[:, None] * dim + group]))
     return tuple(tables)
+
+
+def _defect_plan(cutoff: int, keys: np.ndarray, refined_keys: np.ndarray, idx: np.ndarray,
+                 diagonal: int) -> tuple:
+    """(kept, refined_kept, segment, refined_segment, column): the index
+    structure of the defect D = L' P - P L on the columns idx, with L at
+    cutoff and L' at cutoff + 2 given by the keys row * D^2 + col of their
+    entries (D^2 the size of each), and P the embedding of the cutoff space,
+    which keeps the atom index and the Fock level of each state. kept and
+    refined_kept list the entries of L and L' in those columns, segment and
+    refined_segment their places among the positions of D, and column the
+    real coordinate of each position's column: its own for a diagonal or
+    upper entry, its upper partner's for a lower one, since both have the
+    modulus hypot(x, y)."""
+    dim = 2 * (cutoff + 1)
+    lift = np.arange(dim) + 2 * (np.arange(dim) > cutoff)
+
+    def embedded(entries: np.ndarray) -> np.ndarray:
+        state_rows, state_cols = np.divmod(entries, dim)
+        return lift[state_rows] * (dim + 4) + lift[state_cols]
+
+    size = idx.size
+    position = np.full(dim ** 2, size)
+    position[idx] = np.arange(size)
+    refined_position = np.full((dim + 4) ** 2, size)
+    refined_position[embedded(idx)] = np.arange(size)
+    rows, cols = np.divmod(keys, dim ** 2)
+    refined_rows, refined_cols = np.divmod(refined_keys, (dim + 4) ** 2)
+    kept = np.flatnonzero(position[cols] < size)
+    refined_kept = np.flatnonzero(refined_position[refined_cols] < size)
+    defect_keys = np.concatenate((
+        embedded(rows[kept]) * size + position[cols[kept]],
+        refined_rows[refined_kept] * size + refined_position[refined_cols[refined_kept]]))
+    unique, segment = np.unique(defect_keys, return_inverse=True)
+    end = (size + diagonal) // 2
+    column = unique % size
+    column -= (end - diagonal) * (column >= end)
+    return kept, refined_kept, segment[:kept.size], segment[kept.size:], column
+
+
+def _defect_weights(entries: tuple, refined: tuple, block: BlockPlan, cutoff: int) -> np.ndarray:
+    """w_j = sum_i |D_ij| for the defect D = L' P - P L on the columns of
+    block, folded onto the real coordinates (_defect_plan), with entries and
+    refined the liouvillian_superoperator of L at cutoff and L' at cutoff + 2.
+    A point whose block never reaches the top two Fock levels (a quiet
+    reservoir) has L' P = P L on it, so all its weights are exactly 0."""
+    dim = 2 * (cutoff + 1)
+    kept, refined_kept, segment, refined_segment, column = cached_plan(
+        _defect_plan, cutoff, entries[0] * dim ** 2 + entries[1],
+        refined[0] * (dim + 4) ** 2 + refined[1], block.idx, block.diagonal)
+    defect = np.zeros(column.size, dtype=complex)
+    defect[refined_segment] = refined[2][refined_kept]
+    defect[segment] -= entries[2][kept]
+    return np.bincount(column, np.abs(defect))
+
+
+def _truncation_bound(coords: np.ndarray, block: BlockPlan, weights: np.ndarray,
+                      h: float) -> float:
+    """A bound on 1/2 ||rho'(tau) - P rho(tau)||_1, with rho the cutoff run
+    (coords, step h) and rho' the exact flow of L' at cutoff + 2 from the
+    same start.
+
+    By Duhamel's formula rho'(t) - P rho(t) is the integral over s of
+    exp(L' (t - s)) D rho(s), and exp(L' t) contracts the trace norm, being
+    trace preserving and completely positive (Lindblad, Commun. Math. Phys.
+    48, 119 (1976)). The trace norm is at most the entrywise l1 norm, so the
+    bound is 1/2 sum_j w_j int_0^tau |rho_j(s)| ds with the _defect_weights
+    w_j, |rho_j| being |d| on the diagonal and hypot(x, y) on an upper entry
+    and its lower partner. The integral is the trapezoid rule over the rows
+    of coords, read over the gate's row chunks (_row_chunks). Columns of zero
+    weight are not read, and weights all zero give an exact 0.0. The partial
+    trace contracts the trace norm too, so the bound also holds for the
+    reduced endpoints that a rerun compares (conv_dist).
+    """
+    live = np.flatnonzero(weights)
+    if not live.size:
+        return 0.0
+    diagonal = block.diagonal
+    pairs = (block.idx.size - diagonal) // 2
+    on, off = live[live < diagonal], live[live >= diagonal]
+    density = np.empty(coords.shape[0])
+    for rows in _row_chunks(coords.shape[0], block):
+        chunk = coords[rows]
+        density[rows] = (np.abs(chunk[:, on]) @ weights[on]
+                         + np.hypot(chunk[:, off], chunk[:, off + pairs]) @ weights[off])
+    return float(0.5 * np.trapezoid(density, dx=h))
 
 
 def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
@@ -623,26 +732,37 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     chunks of the _group_blocks before the reduced states are formed, each
     by gate_min_eig: a batched Cholesky factorisation, with eigvalsh only
     where it fails, so the one possible flip against an exact spectrum is a
-    pass whose least eigenvalue lies within round-off below the floor) and
-    compares the endpoint with a rerun at cutoff+2 to confirm the truncation
-    converged (trace distance <= 1e-8); a rerun endpoint that is no state
-    (trace or least eigenvalue off by more than 1e-6) or not finite raises
+    pass whose least eigenvalue lies within round-off below the floor).
+
+    Then it confirms that the truncation converged (trace distance to the
+    cutoff+2 endpoint <= 1e-8), by certificate or by rerun. Before the
+    propagation it builds the Liouvillian L' at cutoff+2 for the weights of
+    the defect (_defect_weights) and for its step norm. It certifies the run
+    when h times the largest column sum of |L'| is at most STABLE_STEP_NORM
+    (so RK4 at cutoff+2 would be stable) and the Duhamel bound of
+    _truncation_bound is at most CERTIFIED_DISTANCE; conv_dist is then that
+    bound. Otherwise it reruns at cutoff+2 after the gate, building L' once
+    more and computing only the endpoint (_reduced_endpoint), and conv_dist
+    is the measured distance; a rerun endpoint that is no state (trace or
+    least eigenvalue off by more than 1e-6) or not finite raises
     NoConvergence, since truncation keeps both: the step is unstable. The
-    rerun goes first and computes only its endpoint (_propagate_endpoint:
-    squarings, then matrix-vector products once fewer than
-    SQUARING_CROSSOVER powers are left), so its larger matrices are freed
-    before the coordinates are allocated; the comparison still follows the
-    gate. The exact min_eigs are computed only when read.
+    exact min_eigs are computed only when read.
     """
     check_steps(steps)
     check_cutoff(cutoff)
+    derived = derive(params)
     if cutoff is None:
-        cutoff = default_cutoff(derive(params))
+        cutoff = default_cutoff(derived)
 
     h = params.tau / steps
     with np.errstate(over="ignore", invalid="ignore"):
-        refined = _reduced_endpoint(params, cutoff + 2, h, steps)
-        generator, start, block = _reachable_block(params, cutoff)
+        refined = liouvillian_superoperator(build_operators(params, cutoff + 2), derived)
+        entries = liouvillian_superoperator(build_operators(params, cutoff), derived)
+        generator, start, block = _reachable_block(params, cutoff, entries)
+        weights = _defect_weights(entries, refined, block, cutoff)
+        stable = h * np.bincount(refined[1], np.abs(refined[2])).max() <= STABLE_STEP_NORM
+        # the propagation holds no Liouvillian entries: a rerun builds L' again
+        del entries, refined
         rate_map = block.trace_map @ generator
         generator *= h
         step_matrix = _rk4_step_matrix(generator)
@@ -663,14 +783,19 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     rho_atom = _atom_form(coords @ block.trace_map.T)
     rho_atom_dot = _atom_form(coords @ rate_map.T)
 
-    low, high = map(float, eigvalsh(refined)) if np.isfinite(refined).all() else (np.nan,) * 2
-    if not (low >= -UNSTABLE_ENDPOINT and abs(low + high - 1.0) <= UNSTABLE_ENDPOINT):
-        raise NoConvergence(
-            f"master propagation at cutoff {cutoff + 2} is unstable: endpoint eigenvalues "
-            f"{low:.3e}, {high:.3e} are off a state by more than {UNSTABLE_ENDPOINT:.0e}; "
-            f"reduce the step")
-    _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - refined)[None])
-    conv_dist = float(0.5 * trace_norm[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv_dist = _truncation_bound(coords, block, weights, h) if stable else np.inf
+        rerun = (None if conv_dist <= CERTIFIED_DISTANCE
+                 else _reduced_endpoint(params, cutoff + 2, h, steps))
+    if rerun is not None:
+        low, high = map(float, eigvalsh(rerun)) if np.isfinite(rerun).all() else (np.nan,) * 2
+        if not (low >= -UNSTABLE_ENDPOINT and abs(low + high - 1.0) <= UNSTABLE_ENDPOINT):
+            raise NoConvergence(
+                f"master propagation at cutoff {cutoff + 2} is unstable: endpoint eigenvalues "
+                f"{low:.3e}, {high:.3e} are off a state by more than {UNSTABLE_ENDPOINT:.0e}; "
+                f"reduce the step")
+        _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - rerun)[None])
+        conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
         raise CutoffNotConverged(
             f"cutoff {cutoff} vs {cutoff + 2}: endpoint trace distance "
@@ -686,3 +811,4 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         coords=coords,
         block=block,
     )
+

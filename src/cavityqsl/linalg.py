@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# Plans kept by cached_plan; a master point uses six, three at each of two cutoffs.
+# Plans kept by cached_plan. A master point uses six: the basis krons and the
+# Liouvillian's plan at its cutoff and at cutoff+2, its block's plan and the
+# defect's plan; a point that reruns at cutoff+2 adds that block's plan.
 PLAN_CACHE_ENTRIES = 64
 
 _plans: OrderedDict = OrderedDict()

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqsl.dynamics import (DEFAULT_STEPS, POSITIVITY_FLOOR, SQUARING_CROSSOVER, _atom_form,
-                                _coalesce, _group_blocks, _kron_plan, complex_form,
-                                _oracle_trajectory, _propagate_endpoint, _reachable_block,
-                                _rk4_step_matrix, _trace_map, analytic_coeffs,
+from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAULT_STEPS,
+                                POSITIVITY_FLOOR, SQUARING_CROSSOVER, _atom_form,
+                                _coalesce, _defect_weights, _group_blocks, _kron_plan,
+                                complex_form, _oracle_trajectory, _propagate_endpoint,
+                                _reachable_block, _reduced_endpoint, _rk4_step_matrix,
+                                _trace_map, _truncation_bound, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
                                 ode_oracle_coeffs)
@@ -19,7 +21,7 @@ from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
                               PositivityViolated, ValidationError)
 from cavityqsl import linalg
 from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
-                              partial_trace_cavity_stack)
+                              norms_of_hermitian_stack, partial_trace_cavity_stack)
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, default_cutoff,
                              derive, matched_reservoir)
 from cavityqsl.qsl import qsl_time
@@ -52,6 +54,12 @@ ORTHOGONAL = dataclasses.replace(BASE, alpha=math.pi / 2)
 # no symmetry: complex m_s, a squeezed reservoir of its own and a tilted start
 GENERIC = SystemParams(g=1.0, r_p=0.3, delta_a=0.7, delta_c=1.3, theta_p=0.4, gamma=0.05,
                        kappa=0.1, r_e=0.2, theta_e=1.1, alpha=0.6)
+
+# the two points of the noisy_master benchmark sweep at seed 0
+SWEEP_NOISY = SystemParams(g=1.0, r_p=0.09474863703949193, delta_a=1.8213748223375132,
+                           delta_c=2.8168746085326783, theta_p=0.0,
+                           gamma=0.0009487010114756702, kappa=0.05376979953907141, r_e=0.0)
+SWEEP_NOISIER = dataclasses.replace(SWEEP_NOISY, r_p=0.3360414436774937)
 
 # matched at a negative drive phase where theta_e = pi - theta_p left
 # |m_s| = 1.9e-15 and an 18-entry quiet block
@@ -805,13 +813,14 @@ def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes, monkeypatch)
     assert not rho[:, off].any() and not rho[:, :, off].any()
 
 
-@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 8.0),
-                                               (NOISY_TILTED, 16.0)],
+@pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 6.0),
+                                               (NOISY_TILTED, 14.0)],
                          ids=["quiet", "tilted", "noisy", "noisy-tilted"])
 def test_master_point_peak_memory(params, limit_mib):
     # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB
-    # noisy; the noisy coordinates alone are 3.7 MiB. Noisy-tilted peaks in
-    # the cutoff+2 step matrix build: h L, S and two term buffers, 3.5 MiB each
+    # noisy. Certified noisy points peak in the doubling: the coordinates
+    # (3.7 MiB noisy, 7.4 MiB noisy-tilted) and three step-matrix powers
+    # (0.45 and 1.8 MiB each), 5.2 and 13.0 MiB in all
     evolve_master(params)
     tracemalloc.start()
     try:
@@ -1029,7 +1038,8 @@ def plan_arrays(plan):
 def test_cached_plans_are_read_only():
     linalg._plans.clear()
     traj = evolve_master(TILTED, steps=100)
-    # at each cutoff: the basis krons, the Liouvillian's and the block's plan
+    # at the cutoff and at cutoff+2: the basis krons and the Liouvillian's
+    # plan; then the block's plan and the defect's plan
     arrays = [a for plan in linalg._plans.values() for a in plan_arrays(plan)]
     assert len(linalg._plans) == 6 and len(arrays) > 9
     for a in arrays + [traj.block.idx]:
@@ -1054,7 +1064,8 @@ def test_plan_cache_holds_at_most_its_cap():
     first = master_bytes(evolve_master(BASE, cutoff=1, steps=100))
     made = set(linalg._plans)
     first_plans = set(made)
-    # three plans per cutoff, cutoffs 1 to 23
+    # the basis krons and the Liouvillian's plan at cutoffs 1 to 23, the
+    # block's and the defect's plan at cutoffs 1 to 21
     for cutoff in range(2, 22):
         evolve_master(BASE, cutoff=cutoff, steps=100)
         made |= linalg._plans.keys()
@@ -1063,3 +1074,83 @@ def test_plan_cache_holds_at_most_its_cap():
     # the plans of cutoff 1 were dropped first and are rebuilt the same
     assert first_plans - linalg._plans.keys()
     assert master_bytes(evolve_master(BASE, cutoff=1, steps=100)) == first
+
+
+def truncation_certificate(params, traj):
+    """The certificate of evolve_master for a master trajectory, computed
+    whether or not the trajectory used it."""
+    cutoff, derived = traj.fock_cutoff, derive(params)
+    entries, refined = (liouvillian_superoperator(build_operators(params, c), derived)
+                        for c in (cutoff, cutoff + 2))
+    weights = _defect_weights(entries, refined, traj.block, cutoff)
+    return _truncation_bound(traj.coords, traj.block, weights, params.tau / (len(traj.times) - 1))
+
+
+def rerun_distance(params, traj):
+    """The endpoint trace distance to the cutoff+2 rerun, measured."""
+    steps = len(traj.times) - 1
+    rerun = _reduced_endpoint(params, traj.fock_cutoff + 2, params.tau / steps, steps)
+    _, trace_norm, _ = norms_of_hermitian_stack((traj.rho_atom[-1] - rerun)[None])
+    return float(0.5 * trace_norm[0])
+
+
+def embedded(rho, fock_dim):
+    """A stack of joint states at fock_dim levels embedded at fock_dim + 2:
+    each state keeps its atom index and Fock level, the new levels are empty."""
+    n, dim, _ = rho.shape
+    lift = np.arange(dim) + 2 * (np.arange(dim) >= fock_dim)
+    out = np.zeros((n, dim + 4, dim + 4), dtype=complex)
+    out[:, lift[:, None], lift] = rho
+    return out
+
+
+def dense_duhamel_bound(params, traj, chunk=250):
+    """1/2 int_0^tau ||D rho(s)||_1 ds by the trapezoid rule, with the
+    defect D rho = L' P rho - P L rho taken from the direct action of the
+    master equation (liouvillian) and the trace norm from eigvalsh, row by
+    row."""
+    cutoff, derived = traj.fock_cutoff, derive(params)
+    small, large = build_operators(params, cutoff), build_operators(params, cutoff + 2)
+    rho = joint_states(traj)
+    norms = np.empty(len(rho))
+    for first in range(0, len(rho), chunk):
+        part = rho[first:first + chunk]
+        defect = (liouvillian(large, derived, embedded(part, cutoff + 1))
+                  - embedded(liouvillian(small, derived, part), cutoff + 1))
+        spectra = eigvalsh(0.5 * (defect + defect.conj().transpose(0, 2, 1)))
+        norms[first:first + chunk] = np.abs(spectra).sum(axis=1)
+    return 0.5 * np.trapezoid(norms, dx=params.tau / (len(rho) - 1))
+
+
+@pytest.mark.parametrize("params, kind", [
+    (BASE, "quiet"), (TILTED, "quiet"), (NOISY, "certified"), (NOISY_TILTED, "certified"),
+    (GENERIC, "rerun"), (SWEEP_NOISY, "certified"), (SWEEP_NOISIER, "certified")],
+    ids=["quiet", "tilted", "noisy", "noisy-tilted", "generic", "sweep-noisy", "sweep-noisier"])
+def test_truncation_certificate_is_a_bound(params, kind):
+    traj = evolve_master(params)
+    bound = truncation_certificate(params, traj)
+    # the entrywise l1 norm bounds the trace norm, row by row
+    assert bound >= dense_duhamel_bound(params, traj)
+    # the two RK4 runs differ by round-off even where the truncation is
+    # exact: 4.9e-17 on the tilted quiet point, whose bound is 0
+    measured = rerun_distance(params, traj)
+    assert bound >= measured - 1e-15
+    if kind == "rerun":
+        # GENERIC's bound, 7e-8, is loose: the point reruns
+        assert bound > CERTIFIED_DISTANCE and traj.conv_dist == measured
+    else:
+        assert traj.conv_dist == bound <= CERTIFIED_DISTANCE
+    if kind == "quiet":
+        assert bound == 0.0
+
+
+def test_uncertified_cutoff_reruns():
+    # at cutoff 6 the noisy point's bound is 2.5e-7, above CERTIFIED_DISTANCE
+    traj = evolve_master(NOISY, cutoff=6)
+    assert truncation_certificate(NOISY, traj) > 100 * CERTIFIED_DISTANCE
+    assert traj.conv_dist == rerun_distance(NOISY, traj) <= CONVERGENCE_DISTANCE
+    # the rerun builds the Liouvillian at cutoff 8 once more, and the plan of
+    # its block: a seventh plan
+    linalg._plans.clear()
+    evolve_master(NOISY, cutoff=6)
+    assert len(linalg._plans) == 7

@@ -17,7 +17,7 @@ import cavityqsl.errors
 from cavityqsl import cli
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
-from cavityqsl.dynamics import DEFAULT_STEPS
+from cavityqsl.dynamics import CERTIFIED_DISTANCE, DEFAULT_STEPS, evolve_master
 from cavityqsl.errors import NoConvergence, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive, matched_reservoir
 from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row, engines_of,
@@ -675,6 +675,13 @@ def test_unstable_rerun_prints_one_line_and_no_warning():
     assert len(lines) == 1 and re.fullmatch("numerical failure: " + UNSTABLE_MESSAGE, lines[0])
 
 
+def test_step_norm_filter_sends_the_unstable_rerun_point_to_the_rerun(monkeypatch):
+    # the cutoff 10 run is stable and its truncation certificate, 9.5e-25,
+    # would pass the point on its own; h |L'| (5.6 at cutoff 12) stops it
+    monkeypatch.setattr("cavityqsl.dynamics.STABLE_STEP_NORM", math.inf)
+    assert evolve_master(UNSTABLE_RERUN).conv_dist <= CERTIFIED_DISTANCE
+
+
 def log_uniform(low, high):
     return st.floats(math.log(low), math.log(high)).map(math.exp)
 
@@ -708,6 +715,25 @@ def test_engine_row_never_raises_or_warns_over_the_domain(params):
     for row in rows:
         if row.flag in ("ok", "frozen"):
             assert row.t_op >= row.t_hs >= row.t_tr
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=domain_params())
+def test_rerun_on_every_point_writes_the_same_rows(params):
+    # certified points skip the cutoff+2 rerun; forcing it everywhere (a
+    # certificate of exactly 0.0 still passes a limit of 0) changes no row
+    # byte and no error message
+    def outcome():
+        try:
+            return format_row(engine_row(params, "master", 0, 0.0, None, None, DEFAULT_STEPS,
+                                         catch_errors=False))
+        except NumericalError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    certified = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cavityqsl.dynamics.CERTIFIED_DISTANCE", -math.inf)
+        assert outcome() == certified
 
 
 @pytest.mark.parametrize("engine", ["master", "analytic"])
