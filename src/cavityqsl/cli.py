@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -257,7 +258,9 @@ class _Parser(argparse.ArgumentParser):
             stream.write(self.format_help())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each parser holds reference cycles."""
     parser = _Parser(
         prog="cavityqsl",
         description="Speed-limit dynamics of a driven atom-cavity model")

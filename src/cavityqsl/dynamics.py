@@ -88,8 +88,8 @@ GATE_CHUNK_BYTES = 1 << 18
 # superposition start) keep pure binary powering.
 SQUARING_CROSSOVER = 32
 
-# The layout of a reachable block, from the patterns alone (_block_plan).
-BlockPlan = namedtuple("BlockPlan", "idx diagonal kept keys factor trace_map tables")
+# The layout of a reachable block and of its defect, from patterns alone (_block_plan).
+BlockPlan = namedtuple("BlockPlan", "idx diagonal kept keys factor trace_map tables defect")
 
 
 @dataclass(frozen=True)
@@ -456,12 +456,13 @@ def _reachable(rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndar
     return np.flatnonzero(inside)
 
 
-def _reachable_block(params: SystemParams, cutoff: int,
-                     entries: tuple | None = None) -> tuple[np.ndarray, np.ndarray, BlockPlan]:
+def _reachable_block(params: SystemParams, cutoff: int, entries: tuple,
+                     refined: tuple | None) -> tuple[np.ndarray, np.ndarray, BlockPlan]:
     """(G, r_0, block): the real generator and the real start on the entries
     idx = block.idx of vec(rho) that rho_0 reaches, block.diagonal of them
     on the diagonal; block is the _block_plan of the patterns. entries are
-    the liouvillian_superoperator of params at cutoff, built here if None.
+    the liouvillian_superoperator of params at cutoff, refined those at
+    cutoff + 2 for block.defect, or None (the rerun's own block).
 
     idx is the support of vec(rho_0) closed under the exact nonzero pattern
     of the Liouvillian L, taken from the entries of liouvillian_superoperator
@@ -480,13 +481,12 @@ def _reachable_block(params: SystemParams, cutoff: int,
     block L[idx, idx], which is never formed, up to the sign of a zero. A
     Lindblad L and a Hermitian rho_0 always give a support closed under
     transposition; any other support raises. Everything but the values comes
-    from cached_plan, keyed on the patterns of L and vec(rho_0).
+    from cached_plan, keyed on the patterns of L, vec(rho_0) and L'.
     """
-    if entries is None:
-        entries = liouvillian_superoperator(build_operators(params, cutoff), derive(params))
     rows, cols, values = entries
     vec = initial_state(params, cutoff + 1).reshape(-1)
-    block = cached_plan(_block_plan, 2 * (cutoff + 1), rows, cols, vec != 0)
+    refined_pattern = (None, None) if refined is None else refined[:2]
+    block = cached_plan(_block_plan, 2 * (cutoff + 1), rows, cols, vec != 0, *refined_pattern)
     values = values[block.kept]
     weights = np.concatenate((values.real, values.imag, values.imag, values.real)) * block.factor
     size = block.idx.size
@@ -495,10 +495,11 @@ def _reachable_block(params: SystemParams, cutoff: int,
     return generator, np.concatenate((start.real, start[block.diagonal:].imag)), block
 
 
-def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray) -> BlockPlan:
+def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray,
+                refined_rows: np.ndarray | None, refined_cols: np.ndarray | None) -> BlockPlan:
     """The BlockPlan of the patterns alone: idx, diagonal, the entries of L
     kept, the bincount keys and the factors (0 or +-1) of their parts in G,
-    the _trace_map and the _group_tables."""
+    the _trace_map, the _group_tables and the _defect_plan (None without L')."""
     reached = _reachable(rows, cols, start)
     state_rows, state_cols = np.divmod(reached, dim)
     transposed = state_cols * dim + state_rows
@@ -526,8 +527,10 @@ def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray)
     key = i * size + j
     keys = np.concatenate((key, key + pairs * size, key + pairs, key + pairs * (size + 1)))
     factor = np.concatenate((np.ones(kept.size), y_row, -sign * y_col, sign * (y_row & y_col)))
+    defect = (None if refined_rows is None else
+              _defect_plan(position, rows, cols, refined_rows, refined_cols, idx, diagonal))
     return BlockPlan(idx, diagonal, kept, keys, factor, _trace_map(idx, diagonal, dim // 2),
-                     _group_tables(idx, dim))
+                     _group_tables(idx, dim, position), defect)
 
 
 def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
@@ -605,16 +608,14 @@ def _row_chunks(n: int, plan: BlockPlan) -> Iterator[slice]:
         yield slice(first, min(first + step, n))
 
 
-def _group_tables(idx: np.ndarray, dim: int) -> tuple:
+def _group_tables(idx: np.ndarray, dim: int, position: np.ndarray) -> tuple:
     """(group, table) per group of _group_blocks. idx is closed under
     transposition (see _reachable_block), so states i and j are linked when
     entry (i, j) is in idx; each group is the sorted set of states
     _reachable along links from its lowest state not yet grouped. table
     holds, for each entry of the group's (k, k) block, its position in idx,
-    or |idx| (the zero column) for an entry outside idx."""
+    or |idx| (the zero column) for an entry outside idx, as in position."""
     rows, cols = np.divmod(idx, dim)
-    position = np.full(dim * dim, idx.size)
-    position[idx] = np.arange(idx.size)
     left = np.zeros(dim, dtype=bool)
     left[rows] = True
     tables = []
@@ -625,32 +626,30 @@ def _group_tables(idx: np.ndarray, dim: int) -> tuple:
     return tuple(tables)
 
 
-def _defect_plan(cutoff: int, keys: np.ndarray, refined_keys: np.ndarray, idx: np.ndarray,
+def _defect_plan(position: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 refined_rows: np.ndarray, refined_cols: np.ndarray, idx: np.ndarray,
                  diagonal: int) -> tuple:
     """(kept, refined_kept, segment, refined_segment, column): the index
-    structure of the defect D = L' P - P L on the columns idx, with L at
-    cutoff and L' at cutoff + 2 given by the keys row * D^2 + col of their
-    entries (D^2 the size of each), and P the embedding of the cutoff space,
-    which keeps the atom index and the Fock level of each state. kept and
-    refined_kept list the entries of L and L' in those columns, segment and
+    structure of the defect D = L' P - P L on the columns idx, with the
+    entries (rows, cols) of L at the cutoff (D x D states) and of L' at
+    cutoff + 2, position the block's table of each entry's place in idx
+    (|idx| outside it), and P the embedding of the cutoff space, which keeps
+    the atom index and the Fock level of each state. kept and refined_kept
+    list the entries of L and L' in those columns, segment and
     refined_segment their places among the positions of D, and column the
     real coordinate of each position's column: its own for a diagonal or
     upper entry, its upper partner's for a lower one, since both have the
     modulus hypot(x, y)."""
-    dim = 2 * (cutoff + 1)
-    lift = np.arange(dim) + 2 * (np.arange(dim) > cutoff)
+    dim = math.isqrt(position.size)
+    lift = np.arange(dim) + 2 * (np.arange(dim) >= dim // 2)
 
     def embedded(entries: np.ndarray) -> np.ndarray:
         state_rows, state_cols = np.divmod(entries, dim)
         return lift[state_rows] * (dim + 4) + lift[state_cols]
 
     size = idx.size
-    position = np.full(dim ** 2, size)
-    position[idx] = np.arange(size)
     refined_position = np.full((dim + 4) ** 2, size)
     refined_position[embedded(idx)] = np.arange(size)
-    rows, cols = np.divmod(keys, dim ** 2)
-    refined_rows, refined_cols = np.divmod(refined_keys, (dim + 4) ** 2)
     kept = np.flatnonzero(position[cols] < size)
     refined_kept = np.flatnonzero(refined_position[refined_cols] < size)
     defect_keys = np.concatenate((
@@ -663,16 +662,13 @@ def _defect_plan(cutoff: int, keys: np.ndarray, refined_keys: np.ndarray, idx: n
     return kept, refined_kept, segment[:kept.size], segment[kept.size:], column
 
 
-def _defect_weights(entries: tuple, refined: tuple, block: BlockPlan, cutoff: int) -> np.ndarray:
+def _defect_weights(entries: tuple, refined: tuple, block: BlockPlan) -> np.ndarray:
     """w_j = sum_i |D_ij| for the defect D = L' P - P L on the columns of
-    block, folded onto the real coordinates (_defect_plan), with entries and
-    refined the liouvillian_superoperator of L at cutoff and L' at cutoff + 2.
-    A point whose block never reaches the top two Fock levels (a quiet
-    reservoir) has L' P = P L on it, so all its weights are exactly 0."""
-    dim = 2 * (cutoff + 1)
-    kept, refined_kept, segment, refined_segment, column = cached_plan(
-        _defect_plan, cutoff, entries[0] * dim ** 2 + entries[1],
-        refined[0] * (dim + 4) ** 2 + refined[1], block.idx, block.diagonal)
+    block, folded onto the real coordinates by block.defect, with entries
+    and refined the liouvillian_superoperator of L at the cutoff and L' at
+    cutoff + 2. A point whose block never reaches the top two Fock levels (a
+    quiet reservoir) has L' P = P L on it, so all its weights are exactly 0."""
+    kept, refined_kept, segment, refined_segment, column = block.defect
     defect = np.zeros(column.size, dtype=complex)
     defect[refined_segment] = refined[2][refined_kept]
     defect[segment] -= entries[2][kept]
@@ -711,10 +707,12 @@ def _truncation_bound(coords: np.ndarray, block: BlockPlan, weights: np.ndarray,
     return float(0.5 * np.trapezoid(density, dx=h))
 
 
-def _reduced_endpoint(params: SystemParams, cutoff: int, h: float, steps: int) -> np.ndarray:
-    """The 2x2 reduced state after steps RK4 steps of size h at cutoff, by
-    _propagate_endpoint; every matrix of the run is freed on return."""
-    generator, start, block = _reachable_block(params, cutoff)
+def _reduced_endpoint(params: SystemParams, cutoff: int, entries: tuple, h: float,
+                      steps: int) -> np.ndarray:
+    """The 2x2 reduced state after steps RK4 steps of size h under the
+    entries of L at cutoff, by _propagate_endpoint; every matrix of the run
+    is freed on return."""
+    generator, start, block = _reachable_block(params, cutoff, entries, None)
     generator *= h
     end = _propagate_endpoint(_rk4_step_matrix(generator), start, steps)
     return _atom_form(block.trace_map @ end)[0]
@@ -736,17 +734,17 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     Then it confirms that the truncation converged (trace distance to the
     cutoff+2 endpoint <= 1e-8), by certificate or by rerun. Before the
-    propagation it builds the Liouvillian L' at cutoff+2 for the weights of
-    the defect (_defect_weights) and for its step norm. It certifies the run
-    when h times the largest column sum of |L'| is at most STABLE_STEP_NORM
-    (so RK4 at cutoff+2 would be stable) and the Duhamel bound of
-    _truncation_bound is at most CERTIFIED_DISTANCE; conv_dist is then that
-    bound. Otherwise it reruns at cutoff+2 after the gate, building L' once
-    more and computing only the endpoint (_reduced_endpoint), and conv_dist
-    is the measured distance; a rerun endpoint that is no state (trace or
-    least eigenvalue off by more than 1e-6) or not finite raises
-    NoConvergence, since truncation keeps both: the step is unstable. The
-    exact min_eigs are computed only when read.
+    propagation it builds the Liouvillian L' at cutoff+2, once, for the
+    weights of the defect (_defect_weights), for its step norm and for a
+    rerun; it holds L' and drops L. It certifies the run when h times the
+    largest column sum of |L'| is at most STABLE_STEP_NORM (so RK4 at
+    cutoff+2 would be stable) and the Duhamel bound of _truncation_bound is
+    at most CERTIFIED_DISTANCE; conv_dist is then that bound. Otherwise it
+    reruns at cutoff+2 from L' after the gate, computing only the endpoint
+    (_reduced_endpoint), and conv_dist is the measured distance; a rerun
+    endpoint that is no state (trace or least eigenvalue off by more than
+    1e-6) or not finite raises NoConvergence, since truncation keeps both:
+    the step is unstable. The exact min_eigs are computed only when read.
     """
     check_steps(steps)
     check_cutoff(cutoff)
@@ -758,11 +756,10 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         refined = liouvillian_superoperator(build_operators(params, cutoff + 2), derived)
         entries = liouvillian_superoperator(build_operators(params, cutoff), derived)
-        generator, start, block = _reachable_block(params, cutoff, entries)
-        weights = _defect_weights(entries, refined, block, cutoff)
+        generator, start, block = _reachable_block(params, cutoff, entries, refined)
+        weights = _defect_weights(entries, refined, block)
         stable = h * np.bincount(refined[1], np.abs(refined[2])).max() <= STABLE_STEP_NORM
-        # the propagation holds no Liouvillian entries: a rerun builds L' again
-        del entries, refined
+        del entries
         rate_map = block.trace_map @ generator
         generator *= h
         step_matrix = _rk4_step_matrix(generator)
@@ -786,7 +783,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         conv_dist = _truncation_bound(coords, block, weights, h) if stable else np.inf
         rerun = (None if conv_dist <= CERTIFIED_DISTANCE
-                 else _reduced_endpoint(params, cutoff + 2, h, steps))
+                 else _reduced_endpoint(params, cutoff + 2, refined, h, steps))
     if rerun is not None:
         low, high = map(float, eigvalsh(rerun)) if np.isfinite(rerun).all() else (np.nan,) * 2
         if not (low >= -UNSTABLE_ENDPOINT and abs(low + high - 1.0) <= UNSTABLE_ENDPOINT):

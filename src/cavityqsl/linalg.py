@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# Plans kept by cached_plan. A master point uses six: the basis krons and the
-# Liouvillian's plan at its cutoff and at cutoff+2, its block's plan and the
-# defect's plan; a point that reruns at cutoff+2 adds that block's plan.
+# Plans kept by cached_plan. A master point uses five: the basis krons and the
+# Liouvillian's plan at its cutoff and at cutoff+2, and its block's plan, which
+# holds the defect's; a point that reruns at cutoff+2 adds that block's plan.
 PLAN_CACHE_ENTRIES = 64
 
 _plans: OrderedDict = OrderedDict()
@@ -130,19 +130,17 @@ def gate_min_eig(m: np.ndarray, floor: float) -> float:
 
 def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operator, trace and Hilbert-Schmidt norms over a (n, d, d) stack of
-    near-Hermitian matrices.
+    Hermitian matrices, each read from its lower triangle as eigvalsh reads
+    it; nothing symmetrizes the input.
 
-    Symmetrizes each slice, then takes all spectra in one eigvalsh call
-    (closed form for the 2x2 slices of the atom, LAPACK above). Singular
-    values of a Hermitian matrix are |eigenvalues|, so op = max|w|,
-    tr = sum|w|, hs = sqrt(sum w^2), and always op <= hs <= tr. The sums
-    run over axis 0 of the contiguous (d, n) transpose of the spectrum,
-    which for d <= 6 adds in the same order as a sum over its axis 1 and
-    avoids a strided reduction per slice.
+    All spectra come from one eigvalsh call (closed form for the 2x2 slices
+    of the atom, LAPACK above). Singular values of a Hermitian matrix are
+    |eigenvalues|, so op = max|w|, tr = sum|w|, hs = sqrt(sum w^2), and
+    always op <= hs <= tr. The sums run over axis 0 of the contiguous (d, n)
+    transpose of the spectrum, which for d <= 6 adds in the same order as a
+    sum over its axis 1 and avoids a strided reduction per slice.
     """
-    stack = np.asarray(stack, dtype=complex)
-    sym = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
-    w = np.ascontiguousarray(eigvalsh(sym).T)
+    w = np.ascontiguousarray(eigvalsh(np.asarray(stack, dtype=complex)).T)
     aw = np.abs(w)
     return aw.max(axis=0), aw.sum(axis=0), np.sqrt((w * w).sum(axis=0))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAULT_STEPS,
-                                POSITIVITY_FLOOR, SQUARING_CROSSOVER, _atom_form,
+                                POSITIVITY_FLOOR, SQUARING_CROSSOVER, BlockPlan, _atom_form,
                                 _coalesce, _defect_weights, _group_blocks, _kron_plan,
                                 complex_form, _oracle_trajectory, _propagate_endpoint,
                                 _reachable_block, _reduced_endpoint, _rk4_step_matrix,
@@ -19,7 +19,7 @@ from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAUL
                                 ode_oracle_coeffs)
 from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
                               PositivityViolated, ValidationError)
-from cavityqsl import linalg
+from cavityqsl import dynamics, linalg
 from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
                               norms_of_hermitian_stack, partial_trace_cavity_stack)
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, default_cutoff,
@@ -65,6 +65,23 @@ SWEEP_NOISIER = dataclasses.replace(SWEEP_NOISY, r_p=0.3360414436774937)
 # |m_s| = 1.9e-15 and an 18-entry quiet block
 NEGATIVE_PHASE = matched_reservoir(dataclasses.replace(
     BASE, r_p=1.0942448414759975, theta_p=-4.943160628139503))
+
+# the UNSTABLE_RERUN point of test_sweep_cli.py: certified by its bound, sent
+# to the rerun by its step norm, and the rerun is RK4-unstable
+UNSTABLE_RERUN = SystemParams(g=49.962989696152846, delta_a=-4.501924659092477,
+                              theta_p=0.20924688941484645, kappa=19.859707117645705,
+                              r_e=1.4231886291382141e-05, tau=13.716958458202575)
+
+
+def superop_entries(params, cutoff):
+    """The liouvillian_superoperator of params at cutoff."""
+    return liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+
+
+def reachable_block(params, cutoff):
+    """_reachable_block at cutoff on its own Liouvillian entries, with no
+    defect: the block as a rerun plans it."""
+    return _reachable_block(params, cutoff, superop_entries(params, cutoff), None)
 
 
 def closed_form_reference(params, t, flip_root=False):
@@ -525,7 +542,7 @@ def test_hot_reservoir_needs_headroom():
     (NEGATIVE_PHASE, 2, 5)])
 def test_reachable_block_is_closed(params, cutoff, size):
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
-    generator, start, block = _reachable_block(params, cutoff)
+    generator, start, block = reachable_block(params, cutoff)
     idx = block.idx
     assert idx.size == size
     outside = np.setdiff1d(np.arange(full.shape[0]), idx)
@@ -547,10 +564,10 @@ def test_reachable_block_is_closed(params, cutoff, size):
 
 def test_reachable_block_peak_memory():
     # the dense L alone is 7.0 MiB at cutoff 12, the 338 x 338 real block 0.9 MiB
-    _reachable_block(NOISY, 12)
+    reachable_block(NOISY, 12)
     tracemalloc.start()
     try:
-        _reachable_block(NOISY, 12)
+        reachable_block(NOISY, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -565,7 +582,7 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
                                                            alpha, cutoff):
     params = SystemParams(g=1.0, r_p=r_p, delta_a=0.7, delta_c=1.3, theta_p=theta_p,
                           gamma=0.05, kappa=0.1, r_e=r_e, theta_e=theta_e, alpha=alpha)
-    _, _, block = _reachable_block(params, cutoff)
+    _, _, block = reachable_block(params, cutoff)
     idx, diagonal = block.idx, block.diagonal
     dim = 2 * (cutoff + 1)
     end = (idx.size + diagonal) // 2
@@ -580,7 +597,7 @@ def test_reachable_support_is_transpose_closed_and_ordered(r_p, theta_p, r_e, th
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (BASE, 4), (TILTED, 2), (TILTED, 4),
                                             (NOISY, 10), (NOISY, 12)])
 def test_real_form_reproduces_block(params, cutoff):
-    real_generator, real_start, block = _reachable_block(params, cutoff)
+    real_generator, real_start, block = reachable_block(params, cutoff)
     idx, diagonal = block.idx, block.diagonal
     dim = 2 * (cutoff + 1)
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
@@ -609,7 +626,7 @@ def test_support_not_closed_under_transposition_raises(monkeypatch):
 
     monkeypatch.setattr("cavityqsl.dynamics.initial_state", coherence)
     with pytest.raises(NumericalError, match="transposition"):
-        _reachable_block(BASE, 2)
+        reachable_block(BASE, 2)
 
 
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
@@ -673,7 +690,7 @@ def test_endpoint_exponent_is_exact(step_matrix):
                          ids=["quiet", "tilted", "noisy", "noisy-tilted"])
 def test_endpoint_matches_binary_powering(params, size):
     # the block of the cutoff+2 rerun
-    generator, start, _ = _reachable_block(params, default_cutoff(derive(params)) + 2)
+    generator, start, _ = reachable_block(params, default_cutoff(derive(params)) + 2)
     assert start.size == size
     step_matrix = _rk4_step_matrix(params.tau / DEFAULT_STEPS * generator)
     got = _propagate_endpoint(step_matrix, start, DEFAULT_STEPS)
@@ -814,13 +831,14 @@ def test_group_blocks_are_blocks_of_the_padded_stack(params, sizes, monkeypatch)
 
 
 @pytest.mark.parametrize("params, limit_mib", [(BASE, 1.0), (TILTED, 0.8), (NOISY, 6.0),
-                                               (NOISY_TILTED, 14.0)],
-                         ids=["quiet", "tilted", "noisy", "noisy-tilted"])
+                                               (NOISY_TILTED, 14.0), (GENERIC, 23.0)],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted", "generic-rerun"])
 def test_master_point_peak_memory(params, limit_mib):
     # a (steps+1, 2F, 2F) zero-padded stack alone is 1.1 MiB quiet, 15 MiB
     # noisy. Certified noisy points peak in the doubling: the coordinates
-    # (3.7 MiB noisy, 7.4 MiB noisy-tilted) and three step-matrix powers
-    # (0.45 and 1.8 MiB each), 5.2 and 13.0 MiB in all
+    # (3.7 MiB noisy, 7.4 MiB noisy-tilted), three step-matrix powers (0.45
+    # and 1.8 MiB each) and the entries of L' (0.2 MiB), 5.5 and 13.2 MiB in
+    # all. GENERIC reruns at cutoff 12 while its coordinates are held: 22.1 MiB
     evolve_master(params)
     tracemalloc.start()
     try:
@@ -915,7 +933,7 @@ def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY, GENERIC],
                          ids=["quiet", "tilted", "noisy", "generic"])
 def test_real_generator_is_the_real_form_of_the_dense_block(params, cutoff):
-    generator, start, plan = _reachable_block(params, cutoff)
+    generator, start, plan = reachable_block(params, cutoff)
     idx, diagonal = plan.idx, plan.diagonal
     full = dense_superoperator(build_operators(params, cutoff), derive(params))
     vec = initial_state(params, cutoff + 1).reshape(-1)
@@ -1039,14 +1057,15 @@ def test_cached_plans_are_read_only():
     linalg._plans.clear()
     traj = evolve_master(TILTED, steps=100)
     # at the cutoff and at cutoff+2: the basis krons and the Liouvillian's
-    # plan; then the block's plan and the defect's plan
+    # plan; then the block's plan, which holds the defect's structure
     arrays = [a for plan in linalg._plans.values() for a in plan_arrays(plan)]
-    assert len(linalg._plans) == 6 and len(arrays) > 9
+    assert len(linalg._plans) == 5 and len(arrays) > 9
+    assert traj.block.defect is not None
     for a in arrays + [traj.block.idx]:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     traj.min_eigs
-    assert len(linalg._plans) == 6
+    assert len(linalg._plans) == 5
 
 
 @pytest.mark.parametrize("params", [TILTED, NOISY], ids=["tilted", "noisy"])
@@ -1064,8 +1083,8 @@ def test_plan_cache_holds_at_most_its_cap():
     first = master_bytes(evolve_master(BASE, cutoff=1, steps=100))
     made = set(linalg._plans)
     first_plans = set(made)
-    # the basis krons and the Liouvillian's plan at cutoffs 1 to 23, the
-    # block's and the defect's plan at cutoffs 1 to 21
+    # the basis krons and the Liouvillian's plan at cutoffs 1 to 23 and the
+    # block's plan at cutoffs 1 to 21: 67 plans
     for cutoff in range(2, 22):
         evolve_master(BASE, cutoff=cutoff, steps=100)
         made |= linalg._plans.keys()
@@ -1079,17 +1098,18 @@ def test_plan_cache_holds_at_most_its_cap():
 def truncation_certificate(params, traj):
     """The certificate of evolve_master for a master trajectory, computed
     whether or not the trajectory used it."""
-    cutoff, derived = traj.fock_cutoff, derive(params)
-    entries, refined = (liouvillian_superoperator(build_operators(params, c), derived)
-                        for c in (cutoff, cutoff + 2))
-    weights = _defect_weights(entries, refined, traj.block, cutoff)
+    cutoff = traj.fock_cutoff
+    entries, refined = (superop_entries(params, c) for c in (cutoff, cutoff + 2))
+    weights = _defect_weights(entries, refined, traj.block)
     return _truncation_bound(traj.coords, traj.block, weights, params.tau / (len(traj.times) - 1))
 
 
 def rerun_distance(params, traj):
     """The endpoint trace distance to the cutoff+2 rerun, measured."""
     steps = len(traj.times) - 1
-    rerun = _reduced_endpoint(params, traj.fock_cutoff + 2, params.tau / steps, steps)
+    cutoff = traj.fock_cutoff + 2
+    rerun = _reduced_endpoint(params, cutoff, superop_entries(params, cutoff),
+                              params.tau / steps, steps)
     _, trace_norm, _ = norms_of_hermitian_stack((traj.rho_atom[-1] - rerun)[None])
     return float(0.5 * trace_norm[0])
 
@@ -1149,8 +1169,36 @@ def test_uncertified_cutoff_reruns():
     traj = evolve_master(NOISY, cutoff=6)
     assert truncation_certificate(NOISY, traj) > 100 * CERTIFIED_DISTANCE
     assert traj.conv_dist == rerun_distance(NOISY, traj) <= CONVERGENCE_DISTANCE
-    # the rerun builds the Liouvillian at cutoff 8 once more, and the plan of
-    # its block: a seventh plan
+    # the rerun reuses the Liouvillian at cutoff 8 and adds the plan of its
+    # block, which has no defect: a sixth plan
     linalg._plans.clear()
     evolve_master(NOISY, cutoff=6)
-    assert len(linalg._plans) == 7
+    assert len(linalg._plans) == 6
+    blocks = [plan for plan in linalg._plans.values() if isinstance(plan, BlockPlan)]
+    assert sorted(block.defect is None for block in blocks) == [False, True]
+
+
+@pytest.mark.parametrize("params, cutoff, raises", [
+    (NOISY, None, None), (NOISY, 6, None), (GENERIC, None, None),
+    (UNSTABLE_RERUN, None, NoConvergence)],
+    ids=["certified", "noisy-rerun", "generic-rerun", "unstable-rerun"])
+def test_one_liouvillian_per_cutoff(params, cutoff, raises, monkeypatch):
+    # L at the cutoff and L' at cutoff+2, each built once: the rerun reuses L'
+    calls = []
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(dynamics, name, wrapper)
+
+    counting("liouvillian_superoperator")
+    counting("build_operators")
+    if raises is None:
+        evolve_master(params, cutoff)
+    else:
+        with pytest.raises(raises):
+            evolve_master(params, cutoff)
+    assert sorted(calls) == ["build_operators"] * 2 + ["liouvillian_superoperator"] * 2

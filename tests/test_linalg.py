@@ -164,13 +164,17 @@ def test_norm_stack_matches_loop():
             assert hs[k] == pytest.approx(np.linalg.norm(stack[k], "fro"), rel=1e-12)
 
 
-def test_norm_stack_symmetrizes_each_slice():
-    # a slice off Hermitian by round-off gets the norms of its Hermitian part
-    m = np.array([[1.0, 1e-12 + 1e-12j], [0.0, 2.0]], dtype=complex)
-    sym = 0.5 * (m + dagger(m))
-    got = norms_of_hermitian_stack(m[None])
-    want = norms_of_hermitian_stack(sym[None])
-    assert [g[0] for g in got] == [w[0] for w in want]
+def test_norm_stack_reads_the_lower_triangle():
+    # a slice is taken as Hermitian: its upper triangle and the imaginary
+    # parts of its diagonal are not read, by the closed form (2 x 2) or LAPACK
+    rng = np.random.default_rng(4)
+    for dim in (2, 3):
+        m = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+        lower = np.tril(m, -1)
+        hermitian = lower + lower.conj().transpose(0, 2, 1) + np.real(m) * np.eye(dim)
+        got = norms_of_hermitian_stack(m)
+        want = norms_of_hermitian_stack(hermitian)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

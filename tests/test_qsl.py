@@ -6,6 +6,7 @@ import pytest
 
 from cavityqsl.dynamics import Trajectory, analytic_trajectory, evolve_master
 from cavityqsl.errors import NotPure, NumericalError, ValidationError
+from cavityqsl.linalg import eigvalsh, norms_of_hermitian_stack
 from cavityqsl.model import SystemParams, derive
 from cavityqsl.qsl import (FROZEN_RATE, bures_angle, lambda_averages, qsl_time)
 
@@ -175,3 +176,29 @@ def test_ground_heavy_start_is_frozen():
     assert out.frozen
     assert out.bures <= 1e-6
     assert out.t_qsl <= 1e-6 * p.tau
+
+
+def symmetrized_norms(stack):
+    """The norms as they were taken before the input had to be Hermitian:
+    over the Hermitian part 0.5 (m + m^H) of each slice."""
+    sym = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+    w = np.ascontiguousarray(eigvalsh(sym).T)
+    aw = np.abs(w)
+    return aw.max(axis=0), aw.sum(axis=0), np.sqrt((w * w).sum(axis=0))
+
+
+NOISY = SystemParams(g=1.0, r_p=0.2, delta_a=2.0, delta_c=3.0, r_e=0.0,
+                     theta_p=0.0, gamma=1e-3, kappa=0.05)
+
+
+@pytest.mark.parametrize("engine, params", [
+    (analytic_trajectory, BASE), (evolve_master, BASE),
+    (evolve_master, replace(BASE, alpha=math.pi / 4)), (evolve_master, NOISY),
+    (evolve_master, replace(NOISY, alpha=0.3))],
+    ids=["analytic", "quiet", "tilted", "noisy", "noisy-tilted"])
+def test_rate_norms_need_no_symmetrizing(engine, params):
+    # each engine's rho_atom_dot is exactly Hermitian, so its norms are
+    # those of its Hermitian part, bit for bit
+    rates = engine(params).rho_atom_dot
+    got = norms_of_hermitian_stack(rates)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, symmetrized_norms(rates)))
