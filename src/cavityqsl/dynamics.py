@@ -174,20 +174,54 @@ def _rate_combinations(d: DerivedParams, params: SystemParams) -> tuple[complex,
     return decay_diff, decay_sum, splitting_root
 
 
+def _cosh_sinh(scale: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh and sinh of scale * t, with x + iy = scale * t, from one real pass:
+    cosh = cosh x cos y + i sinh x sin y and sinh = sinh x cos y + i cosh x sin y.
+    numpy's complex cosh and sinh are scalar libm calls; the four real
+    functions run vectorized, and cos y and sin y serve both results."""
+    x = scale.real * t
+    y = scale.imag * t
+    cosh_x = np.cosh(x)
+    sinh_x = np.sinh(x, out=x)
+    cos_y = np.cos(y)
+    sin_y = np.sin(y, out=y)
+    cosh = np.empty(t.shape, dtype=complex)
+    sinh = np.empty(t.shape, dtype=complex)
+    np.multiply(cosh_x, cos_y, out=cosh.real)
+    np.multiply(sinh_x, sin_y, out=cosh.imag)
+    np.multiply(sinh_x, cos_y, out=sinh.real)
+    np.multiply(cosh_x, sin_y, out=sinh.imag)
+    return cosh, sinh
+
+
 def _amplitudes(params: SystemParams, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex, complex, complex]:
-    """Vectorized closed-form amplitudes over a time array."""
+    """Vectorized closed-form amplitudes over a time array, with the rate
+    combinations (see analytic_coeffs for the formulas).
+
+    cosh and sinh of root*t/4 come from _cosh_sinh, sinh once for both
+    amplitudes, and the products are formed in place. Near the degenerate
+    splitting the series limit is used instead. The two-exponential form
+    e^{(+-root - decay_sum) t/4} is not: its difference loses about
+    eps |decay_diff/root| there. Amplitudes that leave the float range raise
+    NoConvergence.
+    """
     d = derive(params)
     diff, total, root = _rate_combinations(d, params)
     t = np.asarray(times, dtype=float)
-    envelope = np.exp(-0.25 * total * t)
-    if abs(root) < DEGENERATE_SPLITTING:
-        # series limit: cosh -> 1, sinh(root*t/4)/root -> t/4
-        excited = envelope * (1.0 - 0.25 * diff * t)
-        photon = -1j * d.g_s * t * envelope
-    else:
-        arg = 0.25 * root * t
-        excited = envelope * (np.cosh(arg) - (diff / root) * np.sinh(arg))
-        photon = (4.0 * d.g_s / (1j * root)) * envelope * np.sinh(arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-0.25 * total * t)
+        if abs(root) < DEGENERATE_SPLITTING:
+            # series limit: cosh -> 1, sinh(root*t/4)/root -> t/4
+            excited = envelope * (1.0 - 0.25 * diff * t)
+            photon = -1j * d.g_s * t * envelope
+        else:
+            excited, photon = _cosh_sinh(0.25 * root, t)
+            excited -= (diff / root) * photon
+            excited *= envelope
+            envelope *= 4.0 * d.g_s / (1j * root)
+            photon *= envelope
+    if not (np.isfinite(excited).all() and np.isfinite(photon).all()):
+        raise NoConvergence("closed-form propagation did not converge: non-finite amplitudes")
     return excited, photon, diff, total, root
 
 
@@ -271,20 +305,23 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     d|A_e|^2/dt = -gamma |A_e|^2 + 2 g_s Im(A_e* A_p) and
     d|A_p|^2/dt = -kappa |A_p|^2 - 2 g_s Im(A_e* A_p); taking them
     numerically would leave delta * eps noise at large detuning. Amplitudes
-    that leave the float range raise NoConvergence.
+    or populations that leave the float range raise NoConvergence. The
+    amplitudes are dropped before the two (n, 2, 2) stacks are made, which
+    keeps the heap peak of a row low.
     """
     _require_excited_start(params)
     check_steps(steps)
     d = derive(params)
     times = allocate(np.linspace, 0.0, params.tau, steps + 1)
+    excited, photon, _, _, _ = _amplitudes(params, times)
     with np.errstate(over="ignore", invalid="ignore"):
-        excited, photon, _, _, _ = _amplitudes(params, times)
         pop_e = np.abs(excited) ** 2
         pop_p = np.abs(photon) ** 2
         exchange = 2.0 * d.g_s * np.imag(np.conj(excited) * photon)
         rate_e = -params.gamma * pop_e + exchange
         rate_p = -params.kappa * pop_p - exchange
-    # a non-finite amplitude or population leaves a non-finite rate
+    del excited, photon, exchange
+    # a non-finite population leaves a non-finite rate
     if not (np.isfinite(rate_e).all() and np.isfinite(rate_p).all()):
         raise NoConvergence("closed-form propagation did not converge: non-finite amplitudes")
     n = steps + 1

@@ -77,10 +77,7 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     if k == 1:
         w = m[..., 0].real.astype(float)
     elif k == 2:
-        p, q = m[..., 0, 0].real, m[..., 1, 1].real
-        mean = 0.5 * p + 0.5 * q
-        half = np.hypot(0.5 * p - 0.5 * q, np.abs(m[..., 1, 0]))
-        w = np.stack((mean - half, mean + half), axis=-1)
+        w = np.stack(_qubit_spectrum(m), axis=-1)
     else:
         if not np.isfinite(m).all():
             raise NoConvergence("Eigenvalues did not converge: non-finite input")
@@ -88,9 +85,21 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
             w = np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
+    _require_finite(w)
+    return w
+
+
+def _qubit_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form (lo, hi) of eigvalsh on a stack of 2x2 slices."""
+    p, q = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * p + 0.5 * q
+    half = np.hypot(0.5 * p - 0.5 * q, np.abs(m[..., 1, 0]))
+    return mean - half, mean + half
+
+
+def _require_finite(w: np.ndarray) -> None:
     if not np.isfinite(w).all():
         raise NoConvergence("Eigenvalues did not converge: non-finite eigenvalues")
-    return w
 
 
 def gate_min_eig(m: np.ndarray, floor: float) -> float:
@@ -133,14 +142,26 @@ def norms_of_hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Hermitian matrices, each read from its lower triangle as eigvalsh reads
     it; nothing symmetrizes the input.
 
-    All spectra come from one eigvalsh call (closed form for the 2x2 slices
-    of the atom, LAPACK above). Singular values of a Hermitian matrix are
-    |eigenvalues|, so op = max|w|, tr = sum|w|, hs = sqrt(sum w^2), and
-    always op <= hs <= tr. The sums run over axis 0 of the contiguous (d, n)
-    transpose of the spectrum, which for d <= 6 adds in the same order as a
-    sum over its axis 1 and avoids a strided reduction per slice.
+    Singular values of a Hermitian matrix are |eigenvalues|, so
+    op = max|w|, tr = sum|w|, hs = sqrt(sum w^2), and always
+    op <= hs <= tr. The 2x2 slices of the atom take eigvalsh's closed form
+    (lo, hi) as two arrays: op = max(|lo|, |hi|), tr = |lo| + |hi| and
+    hs = sqrt(lo^2 + hi^2), with no stacked spectrum, bit for bit the sums
+    below, and the same NoConvergence on a non-finite eigenvalue. Other
+    sizes take one eigvalsh call and sum over axis 0 of the contiguous
+    (d, n) transpose of the spectrum, which for d <= 6 adds in the same
+    order as a sum over its axis 1 and avoids a strided reduction per slice.
     """
-    w = np.ascontiguousarray(eigvalsh(np.asarray(stack, dtype=complex)).T)
+    stack = np.asarray(stack, dtype=complex)
+    if stack.shape[-2:] == (2, 2):
+        lo, hi = _qubit_spectrum(stack)
+        hs = np.sqrt(lo * lo + hi * hi)
+        np.abs(lo, out=lo)
+        np.abs(hi, out=hi)
+        op = np.maximum(lo, hi)
+        _require_finite(op)  # max propagates NaN and inf
+        return op, np.add(lo, hi, out=lo), hs
+    w = np.ascontiguousarray(eigvalsh(stack).T)
     aw = np.abs(w)
     return aw.max(axis=0), aw.sum(axis=0), np.sqrt((w * w).sum(axis=0))
 

@@ -61,10 +61,12 @@ def bures_angle(rho0_pure: np.ndarray, rho_t: np.ndarray) -> float:
 
 
 def lambda_averages(traj: Trajectory) -> tuple[float, float, float]:
-    """Trapezoidal time averages of the three norms of the state derivative."""
+    """Trapezoidal time averages of the three norms of the state derivative;
+    the time steps are taken once for all three."""
     op, tr, hs = norms_of_hermitian_stack(traj.rho_atom_dot)
+    steps = np.diff(traj.times)
     span = float(traj.times[-1] - traj.times[0])
-    return tuple(float(np.trapezoid(series, traj.times) / span) for series in (op, tr, hs))
+    return tuple(float(np.trapezoid(series, dx=steps) / span) for series in (op, tr, hs))
 
 
 def qsl_time(traj: Trajectory) -> QslResult:

@@ -246,5 +246,8 @@ def write_trajectory_csv(traj: Trajectory, stream: IO[str]) -> None:
     # header order; the complex view gives the (re, im) pairs of ee, eg, ge, gg
     table = np.column_stack((traj.times, atom.reshape(-1, 4).view(float), atom[:, 0, 0].real,
                              atom[:, 1, 1].real, traj.traces, traj.min_eigs))
-    np.savetxt(stream, table, fmt="%.17g", delimiter=",", header=TRAJECTORY_HEADER,
-               comments="")
+    # one row format rather than np.savetxt, which leaves cyclic garbage per call
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    stream.write(TRAJECTORY_HEADER + "\n")
+    for values in table.tolist():
+        stream.write(line % tuple(values))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAULT_STEPS,
                                 POSITIVITY_FLOOR, SQUARING_CROSSOVER, BlockPlan, _atom_form,
-                                _coalesce, _defect_weights, _group_blocks, _kron_plan,
+                                _coalesce, _cosh_sinh, _defect_weights, _group_blocks, _kron_plan,
                                 complex_form, _oracle_trajectory, _propagate_endpoint,
                                 _reachable_block, _reduced_endpoint, _rk4_step_matrix,
                                 _trace_map, _truncation_bound, analytic_coeffs,
@@ -25,6 +25,7 @@ from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
 from cavityqsl.model import (DerivedParams, SystemParams, build_operators, default_cutoff,
                              derive, matched_reservoir)
 from cavityqsl.qsl import qsl_time
+from cavityqsl.sweep import engine_row
 
 # a point from the constrained detuning sweep, quiet reservoir
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
@@ -326,6 +327,20 @@ def test_degenerate_root_uses_series_limit():
     c2 = analytic_coeffs(nudged, 0.8)
     assert abs(c.excited_amp - c2.excited_amp) <= 1e-6
     assert abs(c.photon_amp - c2.photon_amp) <= 1e-6
+
+
+# splitting roots: near-degenerate, oscillatory, overdamped, mixed, |y| = 1e5
+# at t = 10, and x up to +-600
+@pytest.mark.parametrize("root", [2e-8 * cmath.exp(0.7j), 1e-3 + 3j, 2.5, 1.3 - 2.1j,
+                                  0.1 + 4e4j, 240 + 5j, -240 - 5j],
+                         ids=["degenerate", "oscillatory", "overdamped", "mixed",
+                              "fast-phase", "large-x", "large-negative-x"])
+def test_real_pass_hyperbolics_match_complex_ones(root):
+    t = np.linspace(0.0, 10.0, 2001)
+    scale = 0.25 * complex(root)
+    cosh, sinh = _cosh_sinh(scale, t)
+    for got, want in ((cosh, np.cosh(scale * t)), (sinh, np.sinh(scale * t))):
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
 def test_amplitude_norm_decay_law():
@@ -864,6 +879,22 @@ def test_min_eigs_read_peak_memory(params, limit_mib):
     assert peak / 2**20 < limit_mib
 
 
+def test_analytic_row_peak_memory():
+    # the two (2001, 2, 2) stacks of the trajectory hold 250 KiB; with the
+    # amplitudes still alive while they were filled, and the spectrum stacked
+    # for the norms, the row peaked at 425 KiB. Each temporary more adds heap
+    # churn: page faults per row that cost more than the arithmetic saved
+    row = lambda: engine_row(BASE, "analytic", 0, 0.0, None, None, DEFAULT_STEPS)
+    row()
+    tracemalloc.start()
+    try:
+        row()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**10 < 384
+
+
 def hermitian_stack_with_floor(k, least, n=40, slice_at=17, seed=0):
     """(n, k, k) exactly Hermitian stack whose spectra lie in [0.01, 1]
     except slice slice_at, whose least eigenvalue is least."""
@@ -1013,11 +1044,14 @@ def test_states_are_rebuilt_from_the_coordinates_on_read(params):
     assert not joint[:, :diagonal].imag.any()
 
 
-@pytest.mark.parametrize("engine", [evolve_master, analytic_trajectory], ids=["master", "analytic"])
+@pytest.mark.parametrize("engine", [evolve_master, analytic_trajectory,
+                                    lambda params, steps: analytic_coeffs(params, 0.5)],
+                         ids=["master", "analytic", "coeffs"])
 @pytest.mark.parametrize("delta_a", [1e200, 1e308])
 def test_overflowing_propagation_is_no_convergence(engine, delta_a):
     # the propagation leaves the float range: no RuntimeWarning (an error
-    # under this suite's warning filter), one NoConvergence that says so
+    # under this suite's warning filter), one NoConvergence that says so;
+    # one instant of the closed form follows the trajectory's rule
     with pytest.raises(NoConvergence, match="propagation did not converge: non-finite"):
         engine(SystemParams(g=1.0, delta_a=delta_a), steps=100)
 

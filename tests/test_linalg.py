@@ -122,6 +122,15 @@ def test_eigvalsh_non_finite_entry_is_no_convergence(dim, value, entry):
         eigvalsh(m)
 
 
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 1), (1, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_norms_of_non_finite_qubit_slice_are_no_convergence(row, col, value):
+    m = np.zeros((3, 2, 2), dtype=complex)
+    m[1, row, col] = value
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="did not converge"):
+        norms_of_hermitian_stack(m)
+
+
 def test_norms_three_four_five():
     # diag(3, -4): op 4, trace 7, hs 5
     op, tr, hs = norms_of_hermitian_stack(np.diag([3.0, -4.0])[None])

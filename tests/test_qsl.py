@@ -202,3 +202,13 @@ def test_rate_norms_need_no_symmetrizing(engine, params):
     rates = engine(params).rho_atom_dot
     got = norms_of_hermitian_stack(rates)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, symmetrized_norms(rates)))
+
+
+@pytest.mark.parametrize("engine", [analytic_trajectory, evolve_master])
+def test_lambda_averages_are_per_series_trapezoids(engine):
+    # the time steps taken once change no bit of the three averages
+    traj = engine(BASE)
+    series = norms_of_hermitian_stack(traj.rho_atom_dot)
+    span = float(traj.times[-1] - traj.times[0])
+    want = [float(np.trapezoid(s, traj.times) / span) for s in series]
+    assert lambda_averages(traj) == tuple(want)

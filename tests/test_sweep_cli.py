@@ -458,6 +458,20 @@ def test_repeated_cli_call_leaves_no_reference_cycles(tmp_path):
         gc.enable()
 
 
+def test_repeated_evolve_call_leaves_no_reference_cycles(tmp_path):
+    # np.savetxt defined a helper class per call and left 15-31 cyclic
+    # objects to the collector for every trajectory table
+    argv = ["evolve", "--steps", "100", "--out", str(tmp_path / "x.csv")]
+    assert cli_main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli_main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("module", ["cavityqsl", "cavityqsl.cli"])
 def test_python_m_runs_the_cli(module):
     src = str(Path(cavityqsl.__file__).resolve().parent.parent)
