@@ -14,13 +14,14 @@ Two independent routes to the same physics:
   The Lindblad flow keeps rho Hermitian, so the master path works in those
   real coordinates from the Liouvillian entries to the reduced states
   (dgemm instead of zgemm): a real generator, the RK4 polynomial (all rows
-  by doubling), and a real partial-trace map; the positivity gate forms the
-  complex states (complex_form) a chunk of rows at a time. The truncation
-  is certified from the cutoff run by a Duhamel bound, or, where that
-  fails, checked by a cutoff+2 rerun of the endpoint alone (squarings and
-  matrix-vector products). Their index structure depends only on
-  patterns, so linalg.cached_plan builds it once and a point computes only
-  the values.
+  by doubling), and a real partial-trace map. Positivity is certified from
+  a bound on the RK4 error, or, where that fails, checked by a gate that
+  forms the complex states (complex_form) a chunk of rows at a time. The
+  truncation is certified from the cutoff run by a Duhamel bound, or,
+  where that fails, checked by a cutoff+2 rerun of the endpoint alone
+  (squarings and matrix-vector products). Their index structure depends
+  only on patterns, so linalg.cached_plan builds it once and a point
+  computes only the values.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -60,7 +61,7 @@ def check_steps(steps: int) -> None:
 # Quality gates on master-equation trajectories.
 POSITIVITY_FLOOR = -1e-6
 CONVERGENCE_DISTANCE = 1e-8
-# A cutoff run whose truncation certificate (_truncation_bound) is at most
+# A cutoff run whose truncation certificate (_certificates) is at most
 # this needs no cutoff+2 rerun. The certificate bounds the exact flows, and
 # the RK4 endpoints of a noisy point differ from them by about 2e-13, so it
 # sits 10x below CONVERGENCE_DISTANCE; a noisy point reads 1e-13 to 3e-10.
@@ -70,6 +71,13 @@ CERTIFIED_DISTANCE = 1e-9
 # holds the spectrum of h L. Noisy points read about 0.02; a rerun that RK4
 # cannot keep stable reads above 5.
 STABLE_STEP_NORM = 1.0
+# A run whose RK4 error bound (_certificates) is at most this needs no
+# positivity gate: each state is then within this, in trace norm, of the
+# exact flow's, so no least eigenvalue lies below minus this. It sits 10x
+# inside POSITIVITY_FLOOR for the round-off of the computed rows, which the
+# bound does not cover (up to 7e-14 below it on whole-domain draws). The
+# benchmark's noisy points read 1e-8 to 7e-8, its quiet ones below 1e-9.
+CERTIFIED_POSITIVITY = 1e-7
 # Truncation keeps trace and positivity: a cutoff+2 endpoint off a state
 # by more than this (trace, or least eigenvalue below 0) is a step failure.
 UNSTABLE_ENDPOINT = 1e-6
@@ -712,36 +720,64 @@ def _defect_weights(entries: tuple, refined: tuple, block: BlockPlan) -> np.ndar
     return np.bincount(column, np.abs(defect))
 
 
-def _truncation_bound(coords: np.ndarray, block: BlockPlan, weights: np.ndarray,
-                      h: float) -> float:
-    """A bound on 1/2 ||rho'(tau) - P rho(tau)||_1, with rho the cutoff run
-    (coords, step h) and rho' the exact flow of L' at cutoff + 2 from the
-    same start.
+def _rk4_remainder(x: float) -> float:
+    """x^5 e^x / 120, at least the tail sum_{k >= 5} x^k / k! of e^x that the
+    RK4 polynomial drops; only ever taken for x <= STABLE_STEP_NORM."""
+    return x ** 5 * math.exp(x) / 120.0
 
-    By Duhamel's formula rho'(t) - P rho(t) is the integral over s of
-    exp(L' (t - s)) D rho(s), and exp(L' t) contracts the trace norm, being
-    trace preserving and completely positive (Lindblad, Commun. Math. Phys.
-    48, 119 (1976)). The trace norm is at most the entrywise l1 norm, so the
-    bound is 1/2 sum_j w_j int_0^tau |rho_j(s)| ds with the _defect_weights
-    w_j, |rho_j| being |d| on the diagonal and hypot(x, y) on an upper entry
-    and its lower partner. The integral is the trapezoid rule over the rows
-    of coords, read over the gate's row chunks (_row_chunks). Columns of zero
+
+def _certificates(coords: np.ndarray, block: BlockPlan, weights: np.ndarray | None,
+                  remainder: float | None, h: float) -> tuple[float, float]:
+    """(truncation, positivity): two bounds read from the rows of coords (the
+    cutoff run of step h) in one pass over the gate's row chunks
+    (_row_chunks). Each is +inf when its argument is None.
+
+    Both rest on one fact: the exact flow exp(L t) of a Lindblad generator
+    contracts the trace norm, being trace preserving and completely positive
+    (Lindblad, Commun. Math. Phys. 48, 119 (1976)), and the trace norm is at
+    most the entrywise l1 norm, sum_j |rho_j|, with |rho_j| being |d| on the
+    diagonal and hypot(x, y) on an upper entry and its lower partner.
+
+    truncation bounds 1/2 ||rho'(tau) - P rho(tau)||_1, with rho' the exact
+    flow of L' at cutoff + 2 from the same start. By Duhamel's formula
+    rho'(t) - P rho(t) is the integral over s of exp(L' (t - s)) D rho(s), so
+    the bound is 1/2 sum_j w_j int_0^tau |rho_j(s)| ds with the
+    _defect_weights w_j, by the trapezoid rule over the rows. Columns of zero
     weight are not read, and weights all zero give an exact 0.0. The partial
     trace contracts the trace norm too, so the bound also holds for the
     reduced endpoints that a rerun compares (conv_dist).
+
+    positivity bounds the trace distance of every row rho_k to the exact
+    flow rho(t_k) at the cutoff. With S the RK4 step matrix,
+    rho_k - rho(t_k) = sum_{j<k} exp((k-1-j) h L) (S - exp(h L)) rho_j, and
+    S - exp(h L) is the Taylor tail of exp(h L), whose l1 operator norm is
+    at most remainder = _rk4_remainder(h c), c the largest column sum of |L|
+    on the block. So the bound is remainder sum_{j<steps} ||rho_j||_1, with
+    ||rho_j||_1 read as sum |d| + 2 sum (|x| + |y|), at least the l1 norm
+    since hypot(x, y) <= |x| + |y|. rho(t_k) is a state, so by Weyl's
+    inequality no group block of rho_k has an eigenvalue below minus it.
     """
-    live = np.flatnonzero(weights)
-    if not live.size:
-        return 0.0
+    n = coords.shape[0]
     diagonal = block.diagonal
     pairs = (block.idx.size - diagonal) // 2
+    live = np.flatnonzero(weights) if weights is not None else np.arange(0)
     on, off = live[live < diagonal], live[live >= diagonal]
-    density = np.empty(coords.shape[0])
-    for rows in _row_chunks(coords.shape[0], block):
+    scale = np.full(block.idx.size, 2.0)
+    scale[:diagonal] = 1.0
+    density = np.empty(n)
+    norms = np.empty(n)
+    for rows in _row_chunks(n, block):
         chunk = coords[rows]
-        density[rows] = (np.abs(chunk[:, on]) @ weights[on]
-                         + np.hypot(chunk[:, off], chunk[:, off + pairs]) @ weights[off])
-    return float(0.5 * np.trapezoid(density, dx=h))
+        if live.size:
+            density[rows] = (np.abs(chunk[:, on]) @ weights[on]
+                             + np.hypot(chunk[:, off], chunk[:, off + pairs]) @ weights[off])
+        if remainder is not None:
+            norms[rows] = np.abs(chunk) @ scale
+    truncation = np.inf if weights is None else 0.0
+    if live.size:
+        truncation = float(0.5 * np.trapezoid(density, dx=h))
+    positivity = np.inf if remainder is None else remainder * float(norms[:-1].sum())
+    return truncation, positivity
 
 
 def _reduced_endpoint(params: SystemParams, cutoff: int, entries: tuple, h: float,
@@ -763,11 +799,16 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     state, the reduced atom state, and the reduced-state derivative at every
     grid point, and the trace as the sum of the reachable diagonal entries.
     A propagation that leaves the float range raises NoConvergence.
-    Validates physicality (positivity floor -1e-6, checked over the row
-    chunks of the _group_blocks before the reduced states are formed, each
-    by gate_min_eig: a batched Cholesky factorisation, with eigvalsh only
+
+    Validates physicality (positivity floor -1e-6) before the reduced
+    states are formed, by certificate or by gate. It certifies the run when
+    h times the largest column sum of |L| on the block is at most
+    STABLE_STEP_NORM and the RK4 error bound of _certificates is at most
+    CERTIFIED_POSITIVITY: no eigenvalue can then lie below the floor.
+    Otherwise it gates the row chunks of the _group_blocks, each by
+    gate_min_eig: a batched Cholesky factorisation, with eigvalsh only
     where it fails, so the one possible flip against an exact spectrum is a
-    pass whose least eigenvalue lies within round-off below the floor).
+    pass whose least eigenvalue lies within round-off below the floor.
 
     Then it confirms that the truncation converged (trace distance to the
     cutoff+2 endpoint <= 1e-8), by certificate or by rerun. Before the
@@ -775,9 +816,9 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     weights of the defect (_defect_weights), for its step norm and for a
     rerun; it holds L' and drops L. It certifies the run when h times the
     largest column sum of |L'| is at most STABLE_STEP_NORM (so RK4 at
-    cutoff+2 would be stable) and the Duhamel bound of _truncation_bound is
+    cutoff+2 would be stable) and the Duhamel bound of _certificates is
     at most CERTIFIED_DISTANCE; conv_dist is then that bound. Otherwise it
-    reruns at cutoff+2 from L' after the gate, computing only the endpoint
+    reruns at cutoff+2 from L' after positivity, computing only the endpoint
     (_reduced_endpoint), and conv_dist is the measured distance; a rerun
     endpoint that is no state (trace or least eigenvalue off by more than
     1e-6) or not finite raises NoConvergence, since truncation keeps both:
@@ -796,6 +837,9 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         generator, start, block = _reachable_block(params, cutoff, entries, refined)
         weights = _defect_weights(entries, refined, block)
         stable = h * np.bincount(refined[1], np.abs(refined[2])).max() <= STABLE_STEP_NORM
+        dim = 2 * (cutoff + 1)
+        step_norm = float(h * np.bincount(entries[1], np.abs(entries[2]),
+                                          minlength=dim * dim)[block.idx].max())
         del entries
         rate_map = block.trace_map @ generator
         generator *= h
@@ -809,16 +853,22 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
                             f"at cutoff {cutoff}")
     # summed in the order of a sum over the padded diagonal
     traces = np.add.reduce(np.ascontiguousarray(coords[:, :block.diagonal].T), axis=0)
-    worst = min(gate_min_eig(stack, POSITIVITY_FLOOR)
-                for _, _, stack in _group_blocks(coords, block))
-    if not worst >= POSITIVITY_FLOOR:
-        raise PositivityViolated(
-            f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
-    rho_atom = _atom_form(coords @ block.trace_map.T)
-    rho_atom_dot = _atom_form(coords @ rate_map.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv_dist, positivity = _certificates(
+            coords, block, weights if stable else None,
+            _rk4_remainder(step_norm) if step_norm <= STABLE_STEP_NORM else None, h)
+    if not positivity <= CERTIFIED_POSITIVITY:
+        worst = min(gate_min_eig(stack, POSITIVITY_FLOOR)
+                    for _, _, stack in _group_blocks(coords, block))
+        if not worst >= POSITIVITY_FLOOR:
+            raise PositivityViolated(
+                f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
+    # one product for the reduced states (rows 0-7) and their derivatives
+    reduced = coords @ np.concatenate((block.trace_map, rate_map)).T
+    stacks = reduced.view(complex).reshape(-1, 2, 2, 2)
+    rho_atom, rho_atom_dot = stacks[:, 0], stacks[:, 1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        conv_dist = _truncation_bound(coords, block, weights, h) if stable else np.inf
         rerun = (None if conv_dist <= CERTIFIED_DISTANCE
                  else _reduced_endpoint(params, cutoff + 2, refined, h, steps))
     if rerun is not None:

@@ -13,7 +13,7 @@ from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAUL
                                 _coalesce, _cosh_sinh, _defect_weights, _group_blocks, _kron_plan,
                                 complex_form, _oracle_trajectory, _propagate_endpoint,
                                 _reachable_block, _reduced_endpoint, _rk4_step_matrix,
-                                _trace_map, _truncation_bound, analytic_coeffs,
+                                _trace_map, _certificates, analytic_coeffs,
                                 analytic_trajectory, evolve_master,
                                 initial_state, liouvillian_superoperator,
                                 ode_oracle_coeffs)
@@ -540,6 +540,26 @@ def test_unstable_step_raises_positivity():
     # the failed gate reports the exact least eigenvalue
     with pytest.raises(PositivityViolated, match=r"min eigenvalue -1\.944e\+15 below -1\.0e-06"):
         evolve_master(SystemParams(g=1.0, delta_a=300.0), cutoff=2, steps=100)
+
+
+@pytest.mark.parametrize("params", [BASE, TILTED, NOISY, NOISY_TILTED, SWEEP_NOISY,
+                                    SWEEP_NOISIER, GENERIC],
+                         ids=["quiet", "tilted", "noisy", "noisy-tilted", "sweep-noisy",
+                              "sweep-noisier", "generic-rerun"])
+def test_certified_point_forms_no_gate_chunk(params, monkeypatch):
+    # the RK4 error bound certifies positivity (1.2e-8 to 4.2e-8 on the noisy
+    # points, whose least eigenvalues read about -1e-20), so the gate's group
+    # blocks are never formed, and the run is the same bytes as one that
+    # forms them; GENERIC still reruns at cutoff+2
+    monkeypatch.setattr("cavityqsl.dynamics.CERTIFIED_POSITIVITY", -math.inf)
+    gated = master_bytes(evolve_master(params))
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("the positivity gate ran")
+
+    monkeypatch.setattr(dynamics, "_group_blocks", refuse)
+    assert master_bytes(evolve_master(params)) == gated
 
 
 def test_hot_reservoir_needs_headroom():
@@ -1135,7 +1155,9 @@ def truncation_certificate(params, traj):
     cutoff = traj.fock_cutoff
     entries, refined = (superop_entries(params, c) for c in (cutoff, cutoff + 2))
     weights = _defect_weights(entries, refined, traj.block)
-    return _truncation_bound(traj.coords, traj.block, weights, params.tau / (len(traj.times) - 1))
+    truncation, _ = _certificates(traj.coords, traj.block, weights, None,
+                                  params.tau / (len(traj.times) - 1))
+    return truncation
 
 
 def rerun_distance(params, traj):

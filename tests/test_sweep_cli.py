@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import cavityqsl
 import cavityqsl.errors
-from cavityqsl import cli
+from cavityqsl import cli, dynamics
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
-from cavityqsl.dynamics import CERTIFIED_DISTANCE, DEFAULT_STEPS, evolve_master
+from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CERTIFIED_POSITIVITY, DEFAULT_STEPS,
+                                evolve_master)
 from cavityqsl.errors import NoConvergence, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive, matched_reservoir
 from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row, engines_of,
@@ -758,23 +759,58 @@ def test_engine_row_never_raises_or_warns_over_the_domain(params):
             assert row.t_op >= row.t_hs >= row.t_tr
 
 
+def master_outcome(params):
+    """The formatted master row of params, or the error it raises."""
+    try:
+        return format_row(engine_row(params, "master", 0, 0.0, None, None, DEFAULT_STEPS,
+                                     catch_errors=False))
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 @settings(max_examples=30, deadline=None)
 @given(params=domain_params())
 def test_rerun_on_every_point_writes_the_same_rows(params):
     # certified points skip the cutoff+2 rerun; forcing it everywhere (a
     # certificate of exactly 0.0 still passes a limit of 0) changes no row
     # byte and no error message
-    def outcome():
-        try:
-            return format_row(engine_row(params, "master", 0, 0.0, None, None, DEFAULT_STEPS,
-                                         catch_errors=False))
-        except NumericalError as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    certified = outcome()
+    certified = master_outcome(params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("cavityqsl.dynamics.CERTIFIED_DISTANCE", -math.inf)
-        assert outcome() == certified
+        assert master_outcome(params) == certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=domain_params())
+def test_gate_on_every_point_writes_the_same_rows(params):
+    # certified points skip the positivity gate; forcing it everywhere
+    # changes no row byte and no error message
+    certified = master_outcome(params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cavityqsl.dynamics.CERTIFIED_POSITIVITY", -math.inf)
+        assert master_outcome(params) == certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=domain_params())
+def test_positivity_certificate_is_a_bound_over_the_domain(params):
+    # where evolve_master certifies a run, no state of it has an eigenvalue
+    # below minus the certificate, up to the round-off of the computed rows
+    seen, original = [], dynamics._certificates
+
+    def certificates(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_certificates", certificates)
+        try:
+            traj = evolve_master(params)
+        except NumericalError:
+            return
+    _, bound = seen[0]
+    if bound <= CERTIFIED_POSITIVITY:
+        assert traj.min_eigs.min() >= -(bound + 1e-12)
 
 
 @pytest.mark.parametrize("engine", ["master", "analytic"])
