@@ -23,11 +23,11 @@ from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS, analytic_coeffs, evolve_master,
+from .dynamics import (DEFAULT_STEPS, analytic_coeffs, check_steps, evolve_master,
                        ode_oracle_coeffs)
 from .errors import NumericalError, ValidationError
 from .linalg import norms_of_hermitian_stack
-from .model import SystemParams, check_cutoff, derive, matched_reservoir
+from .model import SystemParams, check_count, check_cutoff, derive, matched_reservoir
 from .sweep import (ENGINES, SweepSpec, engine_row, engines_of, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
 
@@ -156,6 +156,8 @@ def _out_stream(path: str | None) -> Iterator[_Output]:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
+    check_steps(args.steps)
+    check_cutoff(args.cutoff)
     with _out_stream(args.out) as stream:
         write_trajectory_csv(evolve_master(params, args.cutoff, args.steps), stream)
     return 0
@@ -164,6 +166,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_qsl(args: argparse.Namespace) -> int:
     check_cutoff(args.cutoff)
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
+    check_steps(args.steps)
     with _out_stream(args.out) as stream:
         rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
                            catch_errors=False)
@@ -183,6 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         settings.update(parse_config(text))
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
+    check_count("workers", args.workers, 1)
     with _out_stream(args.out) as stream:
         write_sweep_csv(run_sweep(spec, workers=args.workers), stream)
     return 0

@@ -64,7 +64,8 @@ CONVERGENCE_DISTANCE = 1e-8
 # A cutoff run whose truncation certificate (_certificates) is at most
 # this needs no cutoff+2 rerun. The certificate bounds the exact flows, and
 # the RK4 endpoints of a noisy point differ from them by about 2e-13, so it
-# sits 10x below CONVERGENCE_DISTANCE; a noisy point reads 1e-13 to 3e-10.
+# sits 10x below CONVERGENCE_DISTANCE; the benchmark's noisy points read at
+# most 4e-10.
 CERTIFIED_DISTANCE = 1e-9
 # ... and whose step h times the largest column sum of |L| at cutoff+2 is at
 # most this: RK4 is stable on the left half-disk of radius 2.6, which then
@@ -683,8 +684,8 @@ def _defect_plan(position: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     list the entries of L and L' in those columns, segment and
     refined_segment their places among the positions of D, and column the
     real coordinate of each position's column: its own for a diagonal or
-    upper entry, its upper partner's for a lower one, since both have the
-    modulus hypot(x, y)."""
+    upper entry, its upper partner's for a lower one, since the certificates
+    read the modulus of both as |x| + |y|."""
     dim = math.isqrt(position.size)
     lift = np.arange(dim) + 2 * (np.arange(dim) >= dim // 2)
 
@@ -708,16 +709,18 @@ def _defect_plan(position: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _defect_weights(entries: tuple, refined: tuple, block: BlockPlan) -> np.ndarray:
-    """w_j = sum_i |D_ij| for the defect D = L' P - P L on the columns of
-    block, folded onto the real coordinates by block.defect, with entries
-    and refined the liouvillian_superoperator of L at the cutoff and L' at
-    cutoff + 2. A point whose block never reaches the top two Fock levels (a
-    quiet reservoir) has L' P = P L on it, so all its weights are exactly 0."""
+    """The weight in the defect D = L' P - P L of each real coordinate (d, x,
+    y) of block, with entries and refined the liouvillian_superoperator of L
+    at the cutoff and L' at cutoff + 2: w_j = sum_i |D_ij| on a diagonal d_j,
+    and w of an upper column plus w of its lower partner on both the x and
+    the y of the pair. A point whose block never reaches the top two Fock
+    levels (a quiet reservoir) has L' P = P L on it, so all are exactly 0."""
     kept, refined_kept, segment, refined_segment, column = block.defect
     defect = np.zeros(column.size, dtype=complex)
     defect[refined_segment] = refined[2][refined_kept]
     defect[segment] -= entries[2][kept]
-    return np.bincount(column, np.abs(defect))
+    weights = np.bincount(column, np.abs(defect), minlength=(block.idx.size + block.diagonal) // 2)
+    return np.concatenate((weights, weights[block.diagonal:]))
 
 
 def _rk4_remainder(x: float) -> float:
@@ -726,58 +729,48 @@ def _rk4_remainder(x: float) -> float:
     return x ** 5 * math.exp(x) / 120.0
 
 
-def _certificates(coords: np.ndarray, block: BlockPlan, weights: np.ndarray | None,
-                  remainder: float | None, h: float) -> tuple[float, float]:
+def _certificates(coords: np.ndarray, block: BlockPlan, weights: np.ndarray,
+                  remainder: float, h: float) -> tuple[float, float]:
     """(truncation, positivity): two bounds read from the rows of coords (the
-    cutoff run of step h) in one pass over the gate's row chunks
-    (_row_chunks). Each is +inf when its argument is None.
+    cutoff run of step h) by one product per row chunk of the gate
+    (_row_chunks), |chunk| times the coordinate weights and the l1 scale.
 
     Both rest on one fact: the exact flow exp(L t) of a Lindblad generator
     contracts the trace norm, being trace preserving and completely positive
     (Lindblad, Commun. Math. Phys. 48, 119 (1976)), and the trace norm is at
     most the entrywise l1 norm, sum_j |rho_j|, with |rho_j| being |d| on the
-    diagonal and hypot(x, y) on an upper entry and its lower partner.
+    diagonal and hypot(x, y) on an upper entry and its lower partner. Both
+    read |rho_j| as |x| + |y| there, at least hypot(x, y) and at most
+    sqrt(2) times it.
 
     truncation bounds 1/2 ||rho'(tau) - P rho(tau)||_1, with rho' the exact
     flow of L' at cutoff + 2 from the same start. By Duhamel's formula
     rho'(t) - P rho(t) is the integral over s of exp(L' (t - s)) D rho(s), so
-    the bound is 1/2 sum_j w_j int_0^tau |rho_j(s)| ds with the
-    _defect_weights w_j, by the trapezoid rule over the rows. Columns of zero
-    weight are not read, and weights all zero give an exact 0.0. The partial
-    trace contracts the trace norm too, so the bound also holds for the
-    reduced endpoints that a rerun compares (conv_dist).
+    the bound is 1/2 int_0^tau sum_j w_j |coords_j(s)| ds with the
+    _defect_weights w_j, by the trapezoid rule over the rows; weights all
+    zero give an exact 0.0. The partial trace contracts the trace norm too,
+    so the bound also holds for the reduced endpoints that a rerun compares
+    (conv_dist).
 
     positivity bounds the trace distance of every row rho_k to the exact
     flow rho(t_k) at the cutoff. With S the RK4 step matrix,
     rho_k - rho(t_k) = sum_{j<k} exp((k-1-j) h L) (S - exp(h L)) rho_j, and
     S - exp(h L) is the Taylor tail of exp(h L), whose l1 operator norm is
     at most remainder = _rk4_remainder(h c), c the largest column sum of |L|
-    on the block. So the bound is remainder sum_{j<steps} ||rho_j||_1, with
-    ||rho_j||_1 read as sum |d| + 2 sum (|x| + |y|), at least the l1 norm
-    since hypot(x, y) <= |x| + |y|. rho(t_k) is a state, so by Weyl's
+    on the block (math.inf where h c exceeds STABLE_STEP_NORM). So the bound
+    is remainder sum_{j<steps} ||rho_j||_1, with ||rho_j||_1 read as
+    sum |d| + 2 sum (|x| + |y|). rho(t_k) is a state, so by Weyl's
     inequality no group block of rho_k has an eigenvalue below minus it.
     """
     n = coords.shape[0]
-    diagonal = block.diagonal
-    pairs = (block.idx.size - diagonal) // 2
-    live = np.flatnonzero(weights) if weights is not None else np.arange(0)
-    on, off = live[live < diagonal], live[live >= diagonal]
     scale = np.full(block.idx.size, 2.0)
-    scale[:diagonal] = 1.0
-    density = np.empty(n)
-    norms = np.empty(n)
+    scale[:block.diagonal] = 1.0
+    read = np.stack((weights, scale), axis=1)
+    reads = np.empty((n, 2))
     for rows in _row_chunks(n, block):
-        chunk = coords[rows]
-        if live.size:
-            density[rows] = (np.abs(chunk[:, on]) @ weights[on]
-                             + np.hypot(chunk[:, off], chunk[:, off + pairs]) @ weights[off])
-        if remainder is not None:
-            norms[rows] = np.abs(chunk) @ scale
-    truncation = np.inf if weights is None else 0.0
-    if live.size:
-        truncation = float(0.5 * np.trapezoid(density, dx=h))
-    positivity = np.inf if remainder is None else remainder * float(norms[:-1].sum())
-    return truncation, positivity
+        reads[rows] = np.abs(coords[rows]) @ read
+    truncation = float(0.5 * np.trapezoid(reads[:, 0], dx=h)) if weights.any() else 0.0
+    return truncation, remainder * float(reads[:-1, 1].sum())
 
 
 def _reduced_endpoint(params: SystemParams, cutoff: int, entries: tuple, h: float,
@@ -816,8 +809,9 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     weights of the defect (_defect_weights), for its step norm and for a
     rerun; it holds L' and drops L. It certifies the run when h times the
     largest column sum of |L'| is at most STABLE_STEP_NORM (so RK4 at
-    cutoff+2 would be stable) and the Duhamel bound of _certificates is
-    at most CERTIFIED_DISTANCE; conv_dist is then that bound. Otherwise it
+    cutoff+2 would be stable) and the Duhamel bound of _certificates, which
+    reads the modulus of each off-diagonal entry as |x| + |y|, is at most
+    CERTIFIED_DISTANCE; conv_dist is then that bound. Otherwise it
     reruns at cutoff+2 from L' after positivity, computing only the endpoint
     (_reduced_endpoint), and conv_dist is the measured distance; a rerun
     endpoint that is no state (trace or least eigenvalue off by more than
@@ -854,9 +848,10 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
     # summed in the order of a sum over the padded diagonal
     traces = np.add.reduce(np.ascontiguousarray(coords[:, :block.diagonal].T), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        conv_dist, positivity = _certificates(
-            coords, block, weights if stable else None,
-            _rk4_remainder(step_norm) if step_norm <= STABLE_STEP_NORM else None, h)
+        truncation, positivity = _certificates(
+            coords, block, weights,
+            _rk4_remainder(step_norm) if step_norm <= STABLE_STEP_NORM else math.inf, h)
+    conv_dist = truncation if stable else math.inf
     if not positivity <= CERTIFIED_POSITIVITY:
         worst = min(gate_min_eig(stack, POSITIVITY_FLOOR)
                     for _, _, stack in _group_blocks(coords, block))

@@ -50,7 +50,8 @@ def test_errors_are_the_two_families_and_four_flags():
 
 
 # Imported only so that the benchmark tracer can wrap the name where the
-# module looks it up; ROADMAP item 3 drops them with the tracer's entries.
+# module looks it up; ROADMAP items 5 (benchmark-only PR) and 7 (deletion
+# pass) drop them with the tracer's entries.
 TRACER_ONLY = {("dynamics", "partial_trace_cavity_stack"), ("sweep", "default_cutoff")}
 
 

@@ -1149,15 +1149,31 @@ def test_plan_cache_holds_at_most_its_cap():
     assert master_bytes(evolve_master(BASE, cutoff=1, steps=100)) == first
 
 
+def defect_weights(params, traj):
+    """The _defect_weights of a master trajectory's block."""
+    cutoff = traj.fock_cutoff
+    entries, refined = (superop_entries(params, c) for c in (cutoff, cutoff + 2))
+    return _defect_weights(entries, refined, traj.block)
+
+
 def truncation_certificate(params, traj):
     """The certificate of evolve_master for a master trajectory, computed
     whether or not the trajectory used it."""
-    cutoff = traj.fock_cutoff
-    entries, refined = (superop_entries(params, c) for c in (cutoff, cutoff + 2))
-    weights = _defect_weights(entries, refined, traj.block)
-    truncation, _ = _certificates(traj.coords, traj.block, weights, None,
-                                  params.tau / (len(traj.times) - 1))
+    truncation, _ = _certificates(traj.coords, traj.block, defect_weights(params, traj),
+                                  math.inf, params.tau / (len(traj.times) - 1))
     return truncation
+
+
+def hypot_truncation(params, traj):
+    """The truncation certificate with the modulus of each (x, y) pair read
+    exactly, as hypot(x, y), and weighted once by the pair's weight."""
+    diagonal = traj.block.diagonal
+    end = (traj.block.idx.size + diagonal) // 2
+    coords = traj.coords
+    modulus = np.hstack((np.abs(coords[:, :diagonal]),
+                         np.hypot(coords[:, diagonal:end], coords[:, end:])))
+    density = modulus @ defect_weights(params, traj)[:end]
+    return 0.5 * np.trapezoid(density, dx=params.tau / (len(traj.times) - 1))
 
 
 def rerun_distance(params, traj):
@@ -1207,12 +1223,15 @@ def test_truncation_certificate_is_a_bound(params, kind):
     bound = truncation_certificate(params, traj)
     # the entrywise l1 norm bounds the trace norm, row by row
     assert bound >= dense_duhamel_bound(params, traj)
+    # hypot(x, y) <= |x| + |y| <= sqrt(2) hypot(x, y)
+    reference = hypot_truncation(params, traj)
+    assert reference * (1 - 1e-12) <= bound <= math.sqrt(2) * reference * (1 + 1e-12)
     # the two RK4 runs differ by round-off even where the truncation is
     # exact: 4.9e-17 on the tilted quiet point, whose bound is 0
     measured = rerun_distance(params, traj)
     assert bound >= measured - 1e-15
     if kind == "rerun":
-        # GENERIC's bound, 7e-8, is loose: the point reruns
+        # GENERIC's bound, 8.8e-8, is loose: the point reruns
         assert bound > CERTIFIED_DISTANCE and traj.conv_dist == measured
     else:
         assert traj.conv_dist == bound <= CERTIFIED_DISTANCE
@@ -1221,7 +1240,7 @@ def test_truncation_certificate_is_a_bound(params, kind):
 
 
 def test_uncertified_cutoff_reruns():
-    # at cutoff 6 the noisy point's bound is 2.5e-7, above CERTIFIED_DISTANCE
+    # at cutoff 6 the noisy point's bound is 3.2e-7, above CERTIFIED_DISTANCE
     traj = evolve_master(NOISY, cutoff=6)
     assert truncation_certificate(NOISY, traj) > 100 * CERTIFIED_DISTANCE
     assert traj.conv_dist == rerun_distance(NOISY, traj) <= CONVERGENCE_DISTANCE

@@ -235,7 +235,8 @@ def test_grid_is_checked_before_the_first_point(monkeypatch, capsys):
     assert calls == []
 
 
-CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+CONFIGS_DIR = Path(__file__).parent.parent / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.cfg"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -706,7 +707,7 @@ def test_unstable_rerun_prints_one_line_and_no_warning():
 
 
 def test_step_norm_filter_sends_the_unstable_rerun_point_to_the_rerun(monkeypatch):
-    # the cutoff 10 run is stable and its truncation certificate, 9.5e-25,
+    # the cutoff 10 run is stable and its truncation certificate, 1.0e-24,
     # would pass the point on its own; h |L'| (5.6 at cutoff 12) stops it
     monkeypatch.setattr("cavityqsl.dynamics.STABLE_STEP_NORM", math.inf)
     assert evolve_master(UNSTABLE_RERUN).conv_dist <= CERTIFIED_DISTANCE
@@ -860,6 +861,18 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys):
     assert cli_main(["qsl", "--steps", "100", "--out", str(target)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(target) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--cutoff", "0"], ["qsl", "--steps", "5"], ["qsl", "--cutoff", "0"],
+    ["sweep", "--config", str(CONFIGS_DIR / "detuning_sweep.cfg"), "--workers", "0"],
+], ids=["evolve_cutoff", "qsl_steps", "qsl_cutoff", "sweep_workers"])
+def test_invalid_input_leaves_existing_out_file_unchanged(command, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept,bytes\n")
+    assert cli_main([*command, "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert target.read_bytes() == b"kept,bytes\n"
 
 
 @pytest.mark.parametrize("command, owner, name", [
