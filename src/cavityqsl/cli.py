@@ -23,8 +23,8 @@ from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS, analytic_coeffs, check_steps, evolve_master,
-                       ode_oracle_coeffs)
+from .dynamics import (DEFAULT_STEPS, _require_excited_start, analytic_coeffs, check_steps,
+                       evolve_master, ode_oracle_coeffs)
 from .errors import NumericalError, ValidationError
 from .linalg import norms_of_hermitian_stack
 from .model import SystemParams, check_count, check_cutoff, derive, matched_reservoir
@@ -167,10 +167,13 @@ def _cmd_qsl(args: argparse.Namespace) -> int:
     check_cutoff(args.cutoff)
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
     check_steps(args.steps)
+    engines = engines_of(args.engine)
+    if "analytic" in engines:
+        _require_excited_start(params)
     with _out_stream(args.out) as stream:
         rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
                            catch_errors=False)
-                for engine in engines_of(args.engine)]
+                for engine in engines]
         write_sweep_csv(rows, stream)
     return 0
 
@@ -187,6 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
     check_count("workers", args.workers, 1)
+    spec.points  # builds, and so checks, the whole grid before --out is opened
     with _out_stream(args.out) as stream:
         write_sweep_csv(run_sweep(spec, workers=args.workers), stream)
     return 0

@@ -121,7 +121,13 @@ class AnalyticCoeffs:
 
 @dataclass
 class Trajectory:
-    """Time grid with states and reduced-state derivatives.
+    """Time grid with the reduced states and their derivatives.
+
+    reduced is the one real (n, 16) array of the reduced atom state at every
+    grid point: columns 0-7 hold the real and imaginary parts of the
+    row-major (rho_ee, rho_eg, rho_ge, rho_gg), as _trace_map gives them,
+    and columns 8-15 the same for the derivative. rho_atom and rho_atom_dot
+    are read-only complex (n, 2, 2) views of those columns (_atom_form).
 
     On the master path coords holds, at every grid point, the real
     coordinates (d, x, y) of vec(rho)[block.idx]: the entries of the
@@ -143,13 +149,20 @@ class Trajectory:
     """
 
     times: np.ndarray
-    rho_atom: np.ndarray
-    rho_atom_dot: np.ndarray
+    reduced: np.ndarray
     fock_cutoff: int
     traces: np.ndarray
     conv_dist: float
     coords: np.ndarray | None = None
     block: BlockPlan | None = None
+
+    @property
+    def rho_atom(self) -> np.ndarray:
+        return _atom_form(self.reduced[:, :8])
+
+    @property
+    def rho_atom_dot(self) -> np.ndarray:
+        return _atom_form(self.reduced[:, 8:])
 
     @property
     def trace_err(self) -> float:
@@ -159,10 +172,10 @@ class Trajectory:
     def min_eigs(self) -> np.ndarray:
         """Least eigenvalue of the state at each grid point: of the joint
         state on the master path, by eigvalsh on each of its _group_blocks;
-        of the reduced state on the analytic path, whose rho_atom is
-        diagonal, so the smaller population."""
+        of the reduced state on the analytic path, which is diagonal, so the
+        smaller population (columns 0 and 6)."""
         if self.coords is None:
-            return np.minimum(self.rho_atom[:, 0, 0].real, self.rho_atom[:, 1, 1].real)
+            return np.minimum(self.reduced[:, 0], self.reduced[:, 6])
         # a state in no group has a zero row and column, so an eigenvalue 0
         grouped = sum(group.size for group, _ in self.block.tables)
         ungrouped = grouped < 2 * (self.fock_cutoff + 1)
@@ -174,6 +187,11 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) < 2:
             raise ValidationError(f"need >= 2 grid points, got {len(self.times)}")
+        shape = (len(self.times), 16)
+        if not (isinstance(self.reduced, np.ndarray) and self.reduced.dtype == np.float64
+                and self.reduced.shape == shape and self.reduced.strides[1] == 8):
+            raise ValidationError(f"reduced must be a real float64 array of shape {shape} "
+                                  f"with contiguous rows")
 
 
 def _rate_combinations(d: DerivedParams, params: SystemParams) -> tuple[complex, complex, complex]:
@@ -315,8 +333,9 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     d|A_p|^2/dt = -kappa |A_p|^2 - 2 g_s Im(A_e* A_p); taking them
     numerically would leave delta * eps noise at large detuning. Amplitudes
     or populations that leave the float range raise NoConvergence. The
-    amplitudes are dropped before the two (n, 2, 2) stacks are made, which
-    keeps the heap peak of a row low.
+    amplitudes are dropped before the populations and rates fill columns 0,
+    6, 8 and 14 of the zeroed (n, 16) reduced array, which keeps the heap
+    peak of a row low.
     """
     _require_excited_start(params)
     check_steps(steps)
@@ -333,17 +352,14 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     # a non-finite population leaves a non-finite rate
     if not (np.isfinite(rate_e).all() and np.isfinite(rate_p).all()):
         raise NoConvergence("closed-form propagation did not converge: non-finite amplitudes")
-    n = steps + 1
-    rho_atom = np.zeros((n, 2, 2), dtype=complex)
-    rho_atom[:, 0, 0] = pop_e
-    rho_atom[:, 1, 1] = pop_p
-    rho_dot = np.zeros((n, 2, 2), dtype=complex)
-    rho_dot[:, 0, 0] = rate_e
-    rho_dot[:, 1, 1] = rate_p
+    reduced = np.zeros((steps + 1, 16))
+    reduced[:, 0] = pop_e
+    reduced[:, 6] = pop_p
+    reduced[:, 8] = rate_e
+    reduced[:, 14] = rate_p
     return Trajectory(
         times=times,
-        rho_atom=rho_atom,
-        rho_atom_dot=rho_dot,
+        reduced=reduced,
         fock_cutoff=1,
         traces=pop_e + pop_p,
         conv_dist=0.0,
@@ -582,8 +598,8 @@ def _block_plan(dim: int, rows: np.ndarray, cols: np.ndarray, start: np.ndarray,
 def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
     """(8, len(idx)) matrix taking the real coordinates (d, x, y) of
     vec(rho)[idx] to the real and imaginary parts of the row-major reduced
-    state (rho_ee, rho_eg, rho_ge, rho_gg), so that a contiguous stack
-    coords @ M.T viewed as complex is rho_atom. Entry (a F + k, b F + l)
+    state (rho_ee, rho_eg, rho_ge, rho_gg), the order of the columns 0-7 of
+    Trajectory.reduced that coords @ M.T fills. Entry (a F + k, b F + l)
     adds to atom entry (a, b) exactly when k == l, and an upper entry that
     does is an (e, g) one: its x adds to Re rho_eg and Re rho_ge, its y to
     Im rho_eg and, negated, to Im rho_ge. The imaginary rows of rho_ee and
@@ -599,10 +615,11 @@ def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
     return trace_map
 
 
-def _atom_form(reduced: np.ndarray) -> np.ndarray:
-    """The (n, 2, 2) reduced states of a contiguous (n, 8) stack of their
-    real and imaginary parts, as _trace_map gives them; a view."""
-    return reduced.view(complex).reshape(-1, 2, 2)
+def _atom_form(columns: np.ndarray) -> np.ndarray:
+    """The complex (..., 2, 2) reduced states of real (..., 8) columns of
+    their real and imaginary parts in _trace_map's row order, contiguous
+    along the last axis; a view, the one place that forms it."""
+    return columns.view(complex).reshape(*columns.shape[:-1], 2, 2)
 
 
 def complex_form(real: np.ndarray, diagonal: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -781,7 +798,7 @@ def _reduced_endpoint(params: SystemParams, cutoff: int, entries: tuple, h: floa
     generator, start, block = _reachable_block(params, cutoff, entries, None)
     generator *= h
     end = _propagate_endpoint(_rk4_step_matrix(generator), start, steps)
-    return _atom_form(block.trace_map @ end)[0]
+    return _atom_form(block.trace_map @ end)
 
 
 def evolve_master(params: SystemParams, cutoff: int | None = None,
@@ -858,10 +875,8 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
         if not worst >= POSITIVITY_FLOOR:
             raise PositivityViolated(
                 f"min eigenvalue {worst:.3e} below {POSITIVITY_FLOOR:.1e}; reduce the step")
-    # one product for the reduced states (rows 0-7) and their derivatives
+    # one product for the reduced states (columns 0-7) and their derivatives
     reduced = coords @ np.concatenate((block.trace_map, rate_map)).T
-    stacks = reduced.view(complex).reshape(-1, 2, 2, 2)
-    rho_atom, rho_atom_dot = stacks[:, 0], stacks[:, 1]
 
     with np.errstate(over="ignore", invalid="ignore"):
         rerun = (None if conv_dist <= CERTIFIED_DISTANCE
@@ -873,7 +888,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
                 f"master propagation at cutoff {cutoff + 2} is unstable: endpoint eigenvalues "
                 f"{low:.3e}, {high:.3e} are off a state by more than {UNSTABLE_ENDPOINT:.0e}; "
                 f"reduce the step")
-        _, trace_norm, _ = norms_of_hermitian_stack((rho_atom[-1] - rerun)[None])
+        _, trace_norm, _ = norms_of_hermitian_stack((_atom_form(reduced[-1, :8]) - rerun)[None])
         conv_dist = float(0.5 * trace_norm[0])
     if not conv_dist <= CONVERGENCE_DISTANCE:
         raise CutoffNotConverged(
@@ -882,8 +897,7 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     return Trajectory(
         times=np.linspace(0.0, params.tau, steps + 1),
-        rho_atom=rho_atom,
-        rho_atom_dot=rho_atom_dot,
+        reduced=reduced,
         fock_cutoff=cutoff,
         traces=traces,
         conv_dist=conv_dist,

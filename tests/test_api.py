@@ -2,6 +2,7 @@
 recording the change in CHANGES.md."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -24,6 +25,9 @@ PUBLIC = [
     "__version__",
 ]
 
+# The Trajectory constructor's fields, in order.
+TRAJECTORY_FIELDS = ["times", "reduced", "fock_cutoff", "traces", "conv_dist", "coords", "block"]
+
 # ValidationError rows and exit code 1; NumericalError rows and exit code 2.
 ERRORS = {
     "ValidationError": ValueError,
@@ -39,6 +43,10 @@ def test_all_is_pinned_and_resolves():
     assert cavityqsl.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(cavityqsl, name), name
+
+
+def test_trajectory_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(cavityqsl.Trajectory)] == TRAJECTORY_FIELDS
 
 
 def test_errors_are_the_two_families_and_four_flags():

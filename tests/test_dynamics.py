@@ -423,6 +423,26 @@ def test_analytic_trajectory_structure():
     assert traj.min_eigs.tobytes() == np.minimum(pop_e, pop_p).tobytes()
 
 
+@pytest.mark.parametrize("engine, params", [
+    (analytic_trajectory, BASE), (evolve_master, BASE), (evolve_master, TILTED)],
+    ids=["analytic", "quiet", "tilted"])
+def test_complex_states_are_views_of_reduced(engine, params):
+    traj = engine(params, steps=100)
+    for stack, columns in ((traj.rho_atom, traj.reduced[:, :8]),
+                           (traj.rho_atom_dot, traj.reduced[:, 8:])):
+        assert np.shares_memory(stack, traj.reduced)
+        assert stack.shape == (101, 2, 2)
+        assert stack.reshape(-1, 4).view(float).tobytes() == columns.tobytes()
+
+
+def test_analytic_reduced_holds_only_populations_and_rates():
+    traj = analytic_trajectory(BASE, steps=100)
+    # every column but Re rho_ee, Re rho_gg and their rates is +0.0, bit for bit
+    rest = np.delete(traj.reduced, [0, 6, 8, 14], axis=1)
+    assert rest.tobytes() == np.zeros(rest.shape).tobytes()
+    assert (traj.reduced[:, 0] + traj.reduced[:, 6]).tobytes() == traj.traces.tobytes()
+
+
 def test_analytic_derivative_is_ode_rhs():
     # centered difference of the populations converges at O(h^2) to the
     # recorded derivative, so at h = tau/2000 agreement is already tight
@@ -900,8 +920,8 @@ def test_min_eigs_read_peak_memory(params, limit_mib):
 
 
 def test_analytic_row_peak_memory():
-    # the two (2001, 2, 2) stacks of the trajectory hold 250 KiB; with the
-    # amplitudes still alive while they were filled, and the spectrum stacked
+    # the (2001, 16) reduced array of the trajectory holds 250 KiB; with the
+    # amplitudes still alive while it was filled, and the spectrum stacked
     # for the norms, the row peaked at 425 KiB. Each temporary more adds heap
     # churn: page faults per row that cost more than the arithmetic saved
     row = lambda: engine_row(BASE, "analytic", 0, 0.0, None, None, DEFAULT_STEPS)
@@ -1077,8 +1097,8 @@ def test_overflowing_propagation_is_no_convergence(engine, delta_a):
 
 
 def master_bytes(traj):
-    return [traj.coords.tobytes(), traj.rho_atom.tobytes(), traj.rho_atom_dot.tobytes(),
-            traj.traces.tobytes(), traj.block.idx.tobytes(), traj.conv_dist]
+    return [traj.coords.tobytes(), traj.reduced.tobytes(), traj.traces.tobytes(),
+            traj.block.idx.tobytes(), traj.conv_dist]
 
 
 # one point per pattern of L and rho_0: quiet, tilted, orthogonal, an exact

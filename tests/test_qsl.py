@@ -18,10 +18,11 @@ P_GROUND = np.diag([0.0, 1.0]).astype(complex)
 
 
 def synthetic(rho_atom, rho_atom_dot, tau=1.0):
+    # the real and imaginary parts of the row-major states, then of the rates
     n = len(rho_atom)
-    return Trajectory(times=np.linspace(0.0, tau, n),
-                      rho_atom=np.asarray(rho_atom, dtype=complex),
-                      rho_atom_dot=np.asarray(rho_atom_dot, dtype=complex),
+    reduced = np.hstack([np.asarray(stack, dtype=complex).reshape(n, 4).view(float)
+                         for stack in (rho_atom, rho_atom_dot)])
+    return Trajectory(times=np.linspace(0.0, tau, n), reduced=reduced,
                       fock_cutoff=1, traces=np.ones(n), conv_dist=0.0)
 
 
@@ -111,6 +112,19 @@ def test_zero_angle_is_frozen_above_the_round_off_rate():
 def test_trajectory_needs_two_points():
     with pytest.raises(ValidationError, match="need >= 2 grid points"):
         synthetic([P_EXCITED], [np.zeros((2, 2), dtype=complex)])
+
+
+@pytest.mark.parametrize("reduced", [
+    np.zeros((5, 8)), np.zeros((4, 16)), np.zeros((5, 16), dtype=np.float32),
+    np.zeros((5, 16), dtype=complex), np.zeros((5, 16)).tolist(), np.zeros((16, 5)).T],
+    ids=["states_only", "short", "float32", "complex", "list", "transposed"])
+def test_trajectory_needs_a_real_16_column_reduced_array(reduced):
+    # any other width, length, dtype or row stride would leave the complex
+    # views empty, misaligned or impossible
+    with pytest.raises(ValidationError, match=r"reduced must be a real float64 array "
+                                              r"of shape \(5, 16\)"):
+        Trajectory(times=np.linspace(0.0, 1.0, 5), reduced=reduced, fock_cutoff=1,
+                   traces=np.ones(5), conv_dist=0.0)
 
 
 # alpha = pi/4 starts in a superposition; r_e = 0 leaves an unmatched, noisy reservoir

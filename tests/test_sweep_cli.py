@@ -19,7 +19,7 @@ from cavityqsl import cli, dynamics
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
 from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CERTIFIED_POSITIVITY, DEFAULT_STEPS,
-                                evolve_master)
+                                analytic_trajectory, evolve_master)
 from cavityqsl.errors import NoConvergence, NumericalError, ValidationError
 from cavityqsl.model import SystemParams, derive, matched_reservoir
 from cavityqsl.sweep import (CSV_HEADER, TRAJECTORY_HEADER, SweepSpec, engine_row, engines_of,
@@ -292,16 +292,19 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 102
     first = [float(c) for c in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == 1.0 and first[11] == 1.0
-    # every cell, on a tilted start with nonzero coherences, against a per-cell loop
-    traj = evolve_master(replace(QUIET, alpha=0.3), steps=100)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    expected = [TRAJECTORY_HEADER]
-    for t, atom, trace, min_eig in zip(traj.times, traj.rho_atom, traj.traces, traj.min_eigs):
-        cells = [t, *(part for z in atom.ravel() for part in (z.real, z.imag)),
-                 atom[0, 0].real, atom[1, 1].real, trace, min_eig]
-        expected.append(",".join(format(c, ".17g") for c in cells))
-    assert buf.getvalue() == "\n".join(expected) + "\n"
+    # every cell, on a tilted start with nonzero coherences and on the closed
+    # form, against a per-cell loop
+    for traj in (evolve_master(replace(QUIET, alpha=0.3), steps=100),
+                 analytic_trajectory(QUIET, steps=100)):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        expected = [TRAJECTORY_HEADER]
+        for t, atom, trace, min_eig in zip(traj.times, traj.rho_atom, traj.traces,
+                                           traj.min_eigs):
+            cells = [t, *(part for z in atom.ravel() for part in (z.real, z.imag)),
+                     atom[0, 0].real, atom[1, 1].real, trace, min_eig]
+            expected.append(",".join(format(c, ".17g") for c in cells))
+        assert buf.getvalue() == "\n".join(expected) + "\n"
 
 
 # ---- config parsing ----
@@ -866,7 +869,14 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["evolve", "--cutoff", "0"], ["qsl", "--steps", "5"], ["qsl", "--cutoff", "0"],
     ["sweep", "--config", str(CONFIGS_DIR / "detuning_sweep.cfg"), "--workers", "0"],
-], ids=["evolve_cutoff", "qsl_steps", "qsl_cutoff", "sweep_workers"])
+    # the grid's range check runs when the grid is built
+    ["sweep", "--variable", "r_p", "--range", "0,10,3", "--constraint_mode",
+     "fig2_constrained", "--engine", "master", "--steps", "100"],
+    # the closed form's excited-start rule, for either engine choice that runs it
+    ["qsl", "--engine", "analytic", "--alpha", "0.3", "--steps", "100"],
+    ["qsl", "--engine", "both", "--alpha", "0.3", "--steps", "100"],
+], ids=["evolve_cutoff", "qsl_steps", "qsl_cutoff", "sweep_workers", "sweep_grid",
+        "qsl_analytic_alpha", "qsl_both_alpha"])
 def test_invalid_input_leaves_existing_out_file_unchanged(command, tmp_path, capsys):
     target = tmp_path / "out.csv"
     target.write_bytes(b"kept,bytes\n")
