@@ -7,21 +7,24 @@ Two independent routes to the same physics:
 * fixed-step RK4 integration of the squeezed-picture Lindblad master
   equation on a truncated Fock space (master path, any initial angle),
   restricted to the entries of vec(rho) that the initial state reaches.
-  That support is closed under transposition and ordered as its diagonal
-  entries, its upper entries (i < j) and the matching (j, i) entries, so a
-  Hermitian rho on it has exactly as many real coordinates as entries:
-  the diagonal, then the real and imaginary parts of the upper entries.
-  The Lindblad flow keeps rho Hermitian, so the master path works in those
-  real coordinates from the Liouvillian entries to the reduced states
-  (dgemm instead of zgemm): a real generator, the RK4 polynomial (all rows
-  by doubling), and a real partial-trace map. Positivity is certified from
-  a bound on the RK4 error, or, where that fails, checked by a gate that
-  forms the complex states (complex_form) a chunk of rows at a time. The
-  truncation is certified from the cutoff run by a Duhamel bound, or,
-  where that fails, checked by a cutoff+2 rerun of the endpoint alone
-  (squarings and matrix-vector products). Their index structure depends
-  only on patterns, so linalg.cached_plan builds it once and a point
-  computes only the values.
+  The Liouvillian is real-linear in eight rates, so its entries are one
+  table per Fock cutoff times those rates (liouvillian_superoperator).
+  The reachable support is closed under transposition and ordered as its
+  diagonal entries, its upper entries (i < j) and the matching (j, i)
+  entries, so a Hermitian rho on it has exactly as many real coordinates
+  as entries: the diagonal, then the real and imaginary parts of the upper
+  entries. The Lindblad flow keeps rho Hermitian, so the master path works
+  in those real coordinates from the Liouvillian entries to the reduced
+  states (dgemm instead of zgemm): a real generator, the RK4 polynomial
+  (all rows by doubling), and a real partial-trace map. Positivity is
+  certified from a bound on the RK4 error, or, where that fails, checked
+  by a gate that forms the complex states (complex_form) a chunk of rows
+  at a time. The truncation is certified from the cutoff run by a Duhamel
+  bound, or, where that fails, checked by a cutoff+2 rerun of the endpoint
+  alone (squarings and matrix-vector products). The rate tables and the
+  index structure of the rest depend only on the cutoff and on patterns,
+  so linalg.cached_plan builds them once and a point computes only the
+  values.
 
 A small brute-force RK4 oracle for the two-amplitude linear ODE system
 validates the closed form independently of either engine.
@@ -42,8 +45,9 @@ from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
                      PositivityViolated, ValidationError)
 from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
 from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
-from .model import (DerivedParams, ModelOperators, SystemParams, allocate, build_operators,
-                    check_count, check_cutoff, default_cutoff, derive)
+from .model import (DerivedParams, SystemParams, _basis, allocate, check_count, check_cutoff,
+                    default_cutoff, derive)
+from .model import build_operators  # unused: the benchmark tracer wraps this name
 
 # Below this magnitude the square-root splitting is numerically degenerate
 # and the closed form switches to its series limit.
@@ -366,71 +370,91 @@ def analytic_trajectory(params: SystemParams, steps: int = DEFAULT_STEPS) -> Tra
     )
 
 
-def liouvillian_superoperator(ops: ModelOperators,
-                              derived: DerivedParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def liouvillian_superoperator(params: SystemParams, derived: DerivedParams,
+                              cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries (rows, cols, values) of the matrix L acting on
-    row-major vectorized states: vec(rho_dot) = L vec(rho).
+    row-major vectorized states of the atom and cutoff + 1 Fock levels:
+    vec(rho_dot) = L vec(rho).
 
     The squeezed-picture master equation is
     rho_dot = i[rho, H] - (1/2){ D(L_atom) + (n_s+1) D(L_cav) + n_s D(L_cav†)
     - m_s Dp(L_cav†) - m_s* Dp(L_cav) } rho, with D(o)r = o†or - 2oro† + ro†o
-    and Dp(o)r = oor - 2oro + roo; with n_s = m_s = 0 only the two plain
-    dissipators survive. In jump terms c_k A_k rho B_k, with (A, B) = (o, o†)
-    for a plain dissipator and (o, o) for a two-photon one, this is
-    rho_dot = -i H_eff rho + i rho H_eff† + sum_k c_k A_k rho B_k with the
-    effective Hamiltonian H_eff = H - (i/2) sum_k c_k B_k A_k. One list holds
-    the jump terms with c_k != 0 (the others add only zeros) and, in front,
-    the H_eff terms (1, -i H_eff, I) and (1, I, i H_eff†). For row-major vec,
-    vec(A X B) = (A kron B^T) vec(X), so L is one kron per listed term. No
-    kron and no dense L is formed: a point forms only the products of
-    nonzero factor entries, whose positions _kron_plan finds from the
-    factors' nonzero masks (via cached_plan), and _coalesce sums them per
-    position in list order, from zero, as the dense sum would, so the values
-    are that sum bit for bit. Positions whose sum is exactly zero are
-    dropped, so the entries are the exact nonzero pattern of L in row-major
-    order (strictly increasing rows * D + cols for L of shape (D, D)). Built
-    once per trajectory so that time stepping reduces to matrix products.
+    and Dp(o)r = oor - 2oro + roo, H as in build_operators, L_atom =
+    sqrt(gamma) lower (x) I and L_cav = sqrt(kappa) I (x) a; derived is
+    derive(params). L is real-linear in eight rates: gamma, kappa (n_s+1),
+    kappa n_s and Re(kappa m_s) give real generators, delta_a, delta_s, g_s
+    and Im(kappa m_s) imaginary ones. So the real and the imaginary part of
+    each entry is the product of a row of the _rate_table, kept by
+    cached_plan per Fock dimension, with four rates: a dot product of up to
+    four rounded terms, within 2 eps of the exact sum in units of the sum
+    of their moduli. Positions whose value is exactly zero (rates that
+    vanish, as n_s and m_s on a matched reservoir, or terms that cancel)
+    are dropped, so the entries are the exact nonzero pattern of these
+    values in row-major order (strictly increasing rows * D + cols for L of
+    shape (D, D)); where none is dropped, rows and cols are the table's own
+    read-only arrays. Built once per trajectory so that time stepping
+    reduces to matrix products.
     """
-    dim = ops.hamiltonian.shape[0]
-    atom, cav = ops.lindblad_atom, ops.lindblad_cavity
-    cav_dag = cav.conj().T
-    jumps = [(c, a, b) for c, a, b in ((1.0, atom, atom.conj().T),
-                                       (derived.n_s + 1.0, cav, cav_dag),
-                                       (derived.n_s, cav_dag, cav),
-                                       (-derived.m_s, cav_dag, cav_dag),
-                                       (-np.conj(derived.m_s), cav, cav)) if c != 0]
-    h_eff = ops.hamiltonian - 0.5j * sum(c * (b @ a) for c, a, b in jumps)
-    eye = np.eye(dim, dtype=complex)
-    terms = [(1.0, -1j * h_eff, eye), (1.0, eye, 1j * h_eff.conj().T), *jumps]
-    nonzeros, unique, segment = cached_plan(
-        _kron_plan, *(f != 0 for _, a, b in terms for f in (a, b.T)))
-    values = np.concatenate([c * np.multiply.outer(a[p], b.T[q]).ravel()
-                             for (c, a, b), p, q in zip(terms, nonzeros[::2], nonzeros[1::2])])
-    keys, values = _coalesce(unique, segment, values)
-    return (*np.divmod(keys, dim * dim), values)
+    check_count("cutoff", cutoff, 1)
+    rows, cols, table = cached_plan(_rate_table, cutoff + 1)
+    kappa_m = params.kappa * derived.m_s
+    rates = np.zeros((8, 2))
+    rates[:4, 0] = (params.gamma, params.kappa * (derived.n_s + 1.0),
+                    params.kappa * derived.n_s, kappa_m.real)
+    rates[4:, 1] = params.delta_a, derived.delta_s, derived.g_s, kappa_m.imag
+    values = (table @ rates).view(complex).ravel()
+    nonzero = np.flatnonzero(values)
+    if nonzero.size == values.size:
+        return rows, cols, values
+    return rows[nonzero], cols[nonzero], values[nonzero]
 
 
-def _kron_plan(*masks: np.ndarray) -> tuple:
-    """(nonzeros, unique, segment) of the krons kron(x, y) for the (D, D)
-    nonzero masks listed x, y, x, y, ...: np.nonzero of each mask, the sorted
-    keys row * D^2 + col of the products x[i, k] y[j, l] of nonzero entries
-    (at row i D + j, column k D + l), and each product's segment in unique."""
-    nonzeros = tuple(np.nonzero(m) for m in masks)
-    dim = masks[0].shape[0]
-    keys = [np.add.outer(xi * dim ** 3 + xk * dim, yj * dim ** 2 + yl).ravel()
-            for (xi, xk), (yj, yl) in zip(nonzeros[::2], nonzeros[1::2])]
+def _rate_table(fock_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, table): the positions of L (liouvillian_superoperator)
+    that any rate reaches, in row-major order, and the real (nnz, 8) table
+    of its eight unit-rate generators there: the real parts of L at unit
+    gamma, kappa (n_s+1), kappa n_s and Re(kappa m_s), then the imaginary
+    parts of L at unit delta_a, delta_s, g_s and Im(kappa m_s); every other
+    part of each is zero. Each generator is a list of terms (c, A, B), each
+    adding c A rho B to rho_dot and so c kron(A, B^T) to L, from the real
+    factors of model._basis: a Hamiltonian term x gives -i(x rho - rho x),
+    listed as its imaginary part, a jump o gives o rho o^T - (o^T o rho +
+    rho o^T o)/2, and unit Re and Im of kappa m_s give -(D2(a†) + D2(a))
+    and i times -(D2(a†) - D2(a)), with D2(o) = o rho o - (o o rho +
+    rho o o)/2. Only the products of nonzero factor
+    entries are formed, and those of one position summed from zero in list
+    order, as the dense kron sum would; positions where all eight sums are
+    exactly zero are dropped."""
+    excited, number, raise_a, lower_a_dag, lower, a = (f.real for f in _basis(fock_dim))
+    eye = np.eye(2 * fock_dim)
+
+    def hamiltonian(x):
+        return [(-1.0, x, eye), (1.0, eye, x)]
+
+    def jump(o):
+        decay = o.T @ o
+        return [(1.0, o, o.T), (-0.5, decay, eye), (-0.5, eye, decay)]
+
+    def two_photon(o, c):
+        pair = o @ o
+        return [(c, o, o), (-0.5 * c, pair, eye), (-0.5 * c, eye, pair)]
+
+    generators = (jump(lower), jump(a), jump(a.T), two_photon(a.T, -1.0) + two_photon(a, -1.0),
+                  hamiltonian(excited), hamiltonian(number), hamiltonian(raise_a + lower_a_dag),
+                  two_photon(a.T, -1.0) + two_photon(a, 1.0))
+    dim = 2 * fock_dim
+    keys, products, columns = [], [], []
+    for column, terms in enumerate(generators):
+        for c, x, y in terms:
+            (xi, xk), (yj, yl) = np.nonzero(x), np.nonzero(y.T)
+            keys.append(np.add.outer(xi * dim ** 3 + xk * dim, yj * dim ** 2 + yl).ravel())
+            products.append(c * np.multiply.outer(x[xi, xk], y.T[yj, yl]).ravel())
+            columns.append(np.full(keys[-1].size, column))
     unique, segment = np.unique(np.concatenate(keys), return_inverse=True)
-    return nonzeros, unique, segment
-
-
-def _coalesce(unique: np.ndarray, segment: np.ndarray, values: np.ndarray) -> tuple:
-    """unique and the sums of values per segment, each from zero in list order
-    (np.add.at adds one index at a time) as a dense zero matrix would sum
-    them, both without the sums that are exactly zero."""
-    sums = np.zeros(unique.size, dtype=complex)
-    np.add.at(sums, segment, values)
-    nonzero = sums != 0
-    return unique[nonzero], sums[nonzero]
+    table = np.zeros((unique.size, 8))
+    np.add.at(table, (segment, np.concatenate(columns)), np.concatenate(products))
+    reached = table.any(axis=1)
+    return (*np.divmod(unique[reached], dim * dim), table[reached])
 
 
 def initial_state(params: SystemParams, fock_dim: int) -> np.ndarray:
@@ -843,8 +867,8 @@ def evolve_master(params: SystemParams, cutoff: int | None = None,
 
     h = params.tau / steps
     with np.errstate(over="ignore", invalid="ignore"):
-        refined = liouvillian_superoperator(build_operators(params, cutoff + 2), derived)
-        entries = liouvillian_superoperator(build_operators(params, cutoff), derived)
+        refined = liouvillian_superoperator(params, derived, cutoff + 2)
+        entries = liouvillian_superoperator(params, derived, cutoff)
         generator, start, block = _reachable_block(params, cutoff, entries, refined)
         weights = _defect_weights(entries, refined, block)
         stable = h * np.bincount(refined[1], np.abs(refined[2])).max() <= STABLE_STEP_NORM

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# Plans kept by cached_plan. A master point uses five: the basis krons and the
-# Liouvillian's plan at its cutoff and at cutoff+2, and its block's plan, which
-# holds the defect's; a point that reruns at cutoff+2 adds that block's plan.
+# Plans kept by cached_plan. A master point uses three: the Liouvillian's rate
+# table at its cutoff and at cutoff+2, and its block's plan, which holds the
+# defect's; a point that reruns at cutoff+2 adds that block's plan.
 PLAN_CACHE_ENTRIES = 64
 
 _plans: OrderedDict = OrderedDict()

@@ -190,8 +190,9 @@ def annihilation(fock_dim: int) -> np.ndarray:
 
 
 def _basis(fock_dim: int) -> tuple[np.ndarray, ...]:
-    """The constant joint-space factors of build_operators: P_e (x) I,
-    I (x) n, raise (x) a, lower (x) a†, lower (x) I and I (x) a."""
+    """The constant joint-space factors of build_operators and of the
+    Liouvillian's rate table (dynamics._rate_table): P_e (x) I, I (x) n,
+    raise (x) a, lower (x) a†, lower (x) I and I (x) a."""
     a = annihilation(fock_dim)
     raise_op = np.array([[0, 1], [0, 0]], dtype=complex)  # |e><g|
     lower_op = dagger(raise_op)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import IO, Sequence
@@ -211,6 +210,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     if workers == 1:
         nested = [evaluate_point(spec, i) for i in indices]
     else:
+        # imported here, so that a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(indices) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(partial(evaluate_point, spec), indices,

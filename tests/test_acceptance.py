@@ -15,8 +15,7 @@ import pytest
 from cavityqsl.dynamics import (analytic_coeffs, complex_form, evolve_master,
                                 liouvillian_superoperator, ode_oracle_coeffs)
 from cavityqsl.model import (DerivedParams, SystemParams,
-                             bosonic_quadratic_spectrum, beta_of,
-                             build_operators, derive)
+                             bosonic_quadratic_spectrum, beta_of, derive)
 from cavityqsl.sweep import SweepSpec, grid_values, point_params, run_sweep
 
 HALF_PI = math.pi / 2
@@ -278,10 +277,10 @@ def test_criterion_6_closed_form_against_oracle():
     _verdict(6, ok, f"max closed-form error {worst:.3e} over 20 draws (limit 1e-8)")
 
 
-def dense_superoperator(ops, derived):
+def dense_superoperator(params, derived, cutoff):
     """The dense L: the entries of liouvillian_superoperator scattered into zeros."""
-    rows, cols, values = liouvillian_superoperator(ops, derived)
-    size = ops.hamiltonian.shape[0] ** 2
+    rows, cols, values = liouvillian_superoperator(params, derived, cutoff)
+    size = (2 * (cutoff + 1)) ** 2
     dense = np.zeros((size, size), dtype=complex)
     dense[rows, cols] = values
     return dense
@@ -299,11 +298,10 @@ def test_criterion_7_matched_reservoir_cancellation():
                          theta_e=math.pi)
         d = derive(p)
         worst = max(worst, abs(d.n_s), abs(d.m_s))
-        ops = build_operators(p, cutoff=3)
-        full = dense_superoperator(ops, d)
+        full = dense_superoperator(p, d, 3)
         plain = dense_superoperator(
-            ops, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
-                               n_s=0.0, m_s=0j))
+            p, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
+                             n_s=0.0, m_s=0j), 3)
         worst_gen = max(worst_gen, float(np.abs(full - plain).max()))
     ok = worst == 0.0 and worst_gen == 0.0
     _verdict(7, ok, f"noise residual {worst:.3e}, generator residual "

@@ -60,7 +60,8 @@ def test_errors_are_the_two_families_and_four_flags():
 # Imported only so that the benchmark tracer can wrap the name where the
 # module looks it up; ROADMAP items 5 (benchmark-only PR) and 7 (deletion
 # pass) drop them with the tracer's entries.
-TRACER_ONLY = {("dynamics", "partial_trace_cavity_stack"), ("sweep", "default_cutoff")}
+TRACER_ONLY = {("dynamics", "partial_trace_cavity_stack"), ("dynamics", "build_operators"),
+               ("sweep", "default_cutoff")}
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CONVERGENCE_DISTANCE, DEFAULT_STEPS,
                                 POSITIVITY_FLOOR, SQUARING_CROSSOVER, BlockPlan, _atom_form,
-                                _coalesce, _cosh_sinh, _defect_weights, _group_blocks, _kron_plan,
+                                _cosh_sinh, _defect_weights, _group_blocks, _rate_table,
                                 complex_form, _oracle_trajectory, _propagate_endpoint,
                                 _reachable_block, _reduced_endpoint, _rk4_step_matrix,
                                 _trace_map, _certificates, analytic_coeffs,
@@ -22,8 +22,8 @@ from cavityqsl.errors import (CutoffNotConverged, NoConvergence, NumericalError,
 from cavityqsl import dynamics, linalg
 from cavityqsl.linalg import (PLAN_CACHE_ENTRIES, eigvalsh, gate_min_eig,
                               norms_of_hermitian_stack, partial_trace_cavity_stack)
-from cavityqsl.model import (DerivedParams, SystemParams, build_operators, default_cutoff,
-                             derive, matched_reservoir)
+from cavityqsl.model import (DerivedParams, SystemParams, annihilation,
+                             build_operators, default_cutoff, derive, matched_reservoir)
 from cavityqsl.qsl import qsl_time
 from cavityqsl.sweep import engine_row
 
@@ -76,7 +76,7 @@ UNSTABLE_RERUN = SystemParams(g=49.962989696152846, delta_a=-4.501924659092477,
 
 def superop_entries(params, cutoff):
     """The liouvillian_superoperator of params at cutoff."""
-    return liouvillian_superoperator(build_operators(params, cutoff), derive(params))
+    return liouvillian_superoperator(params, derive(params), cutoff)
 
 
 def reachable_block(params, cutoff):
@@ -149,10 +149,12 @@ def liouvillian(ops, derived, rho):
     return out
 
 
-def dense_superoperator(ops, derived):
-    """The dense L: the entries of liouvillian_superoperator scattered into zeros."""
-    rows, cols, values = liouvillian_superoperator(ops, derived)
-    size = ops.hamiltonian.shape[0] ** 2
+def dense_superoperator(params, cutoff, derived=None):
+    """The dense L: the entries of liouvillian_superoperator scattered into
+    zeros, with derive(params) by default."""
+    derived = derive(params) if derived is None else derived
+    rows, cols, values = liouvillian_superoperator(params, derived, cutoff)
+    size = (2 * (cutoff + 1)) ** 2
     dense = np.zeros((size, size), dtype=complex)
     dense[rows, cols] = values
     return dense
@@ -211,6 +213,56 @@ def dense_kron_superoperator(ops, derived):
     return super_op
 
 
+def dense_unit_generators(fock_dim):
+    """The eight unit-rate generators of L, each the dense sum of the krons of
+    its terms (A rho B is kron(A, B^T) on row-major vec): the dissipators
+    o rho o† - {o† o, rho}/2 of lower (x) I, I (x) a and I (x) a†, the
+    two-photon part at m_s = 1, the commutators -i[x, rho] of P_e (x) I,
+    I (x) n and the coupling, and the two-photon part at m_s = i."""
+    a = annihilation(fock_dim)
+    eye_fock = np.eye(fock_dim)
+    lower = np.kron([[0, 0], [1, 0]], eye_fock)
+    cav = np.kron(np.eye(2), a)
+    cav_dag = cav.conj().T
+    coupling = np.kron([[0, 1], [0, 0]], a) + np.kron([[0, 0], [1, 0]], a.conj().T)
+    eye = np.eye(2 * fock_dim, dtype=complex)
+
+    def commutator(x):
+        return np.kron(-1j * x, eye) + np.kron(eye, (1j * x).T)
+
+    def dissipator(o):
+        decay = o.conj().T @ o
+        return np.kron(o, o.conj()) - 0.5 * np.kron(decay, eye) - 0.5 * np.kron(eye, decay.T)
+
+    def two_photon(o):
+        pair = o @ o
+        return np.kron(o, o.T) - 0.5 * np.kron(pair, eye) - 0.5 * np.kron(eye, pair.T)
+
+    return (dissipator(lower), dissipator(cav), dissipator(cav_dag),
+            -two_photon(cav_dag) - two_photon(cav),
+            commutator(np.kron([[1, 0], [0, 0]], eye_fock)), commutator(cav_dag @ cav),
+            commutator(coupling), -1j * two_photon(cav_dag) + 1j * two_photon(cav))
+
+
+def dense_kron_moduli(params, cutoff):
+    """dense_kron_superoperator with every term, rate and factor entry
+    replaced by its modulus: the scale of the rounding of its sums."""
+    d = derive(params)
+    a = np.abs(annihilation(cutoff + 1))
+    eye_fock = np.eye(cutoff + 1)
+    lower = np.kron([[0, 0], [1, 0]], eye_fock)
+    cav = np.kron(np.eye(2), a)
+    h = (abs(params.delta_a) * np.kron([[1, 0], [0, 0]], eye_fock) + abs(d.delta_s) * cav.T @ cav
+         + d.g_s * (np.kron([[0, 1], [0, 0]], a) + np.kron([[0, 0], [1, 0]], a.T)))
+    atom, cav = math.sqrt(params.gamma) * lower, math.sqrt(params.kappa) * cav
+    jumps = ((1.0, atom, atom.T), (d.n_s + 1.0, cav, cav.T), (d.n_s, cav.T, cav),
+             (abs(d.m_s), cav.T, cav.T), (abs(d.m_s), cav, cav))
+    h_eff = h + 0.5 * sum(c * (b @ o) for c, o, b in jumps)
+    eye = np.eye(h.shape[0])
+    return np.kron(h_eff, eye) + np.kron(eye, h_eff.T) + sum(c * np.kron(o, b.T)
+                                                             for c, o, b in jumps)
+
+
 def joint_states(traj):
     """The (n, 2F, 2F) joint density matrices of a master trajectory, F =
     fock_cutoff + 1: its states scattered into zeros at their support."""
@@ -235,7 +287,7 @@ def sequential_master_reference(params, cutoff, steps):
     Returns (rho_full, rho_atom, rho_atom_dot) with the derivative taken as
     L vec(rho) on the full space and both reduced states by partial trace.
     """
-    super_op = dense_superoperator(build_operators(params, cutoff), derive(params))
+    super_op = dense_superoperator(params, cutoff)
     fock_dim = cutoff + 1
     dim = 2 * fock_dim
     step_matrix = _rk4_step_matrix(params.tau / steps * super_op)
@@ -470,7 +522,7 @@ def test_superoperator_matches_direct_action():
     ops = build_operators(p, cutoff=2)
     d = derive(p)
     assert abs(d.m_s.imag) > 0  # genuinely complex two-photon term
-    super_op = dense_superoperator(ops, d)
+    super_op = dense_superoperator(p, 2)
     rng = np.random.default_rng(1)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = m + m.conj().T
@@ -485,12 +537,10 @@ def test_superoperator_matches_direct_action():
 def test_matched_reservoir_reduces_to_plain_dissipators():
     p = SystemParams(g=1.0, r_p=0.6, theta_p=1.3, delta_a=0.5, delta_c=1.5,
                      gamma=0.05, kappa=0.02, r_e=0.6, theta_e=math.pi - 1.3)
-    ops = build_operators(p, cutoff=3)
-    full = dense_superoperator(ops, derive(p))
+    full = dense_superoperator(p, 3)
     d = derive(p)
     plain = dense_superoperator(
-        ops, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s,
-                           n_s=0.0, m_s=0j))
+        p, 3, DerivedParams(beta=d.beta, g_s=d.g_s, delta_s=d.delta_s, n_s=0.0, m_s=0j))
     assert np.abs(full - plain).max() <= 1e-12
 
 
@@ -596,7 +646,7 @@ def test_hot_reservoir_needs_headroom():
     (BASE, 2, 5), (TILTED, 2, 9), (NOISY, 10, 242), (NOISY, 12, 338),
     (NEGATIVE_PHASE, 2, 5)])
 def test_reachable_block_is_closed(params, cutoff, size):
-    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    full = dense_superoperator(params, cutoff)
     generator, start, block = reachable_block(params, cutoff)
     idx = block.idx
     assert idx.size == size
@@ -655,7 +705,7 @@ def test_real_form_reproduces_block(params, cutoff):
     real_generator, real_start, block = reachable_block(params, cutoff)
     idx, diagonal = block.idx, block.diagonal
     dim = 2 * (cutoff + 1)
-    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    full = dense_superoperator(params, cutoff)
     generator = full[np.ix_(idx, idx)]
     start = initial_state(params, cutoff + 1).reshape(-1)[idx]
     assert real_generator.dtype == real_start.dtype == np.float64
@@ -799,62 +849,76 @@ def test_oracle_matches_sequential_rk4(params):
     assert np.abs(amps - sequential_rk4_oracle(params, t, n)).max() <= 1e-10
 
 
+# the table depends on the cutoff alone: those of BASE and TILTED (2) and
+# NOISY (10), and their cutoff+2
+@pytest.mark.parametrize("cutoff", [2, 4, 10, 12])
+def test_rate_table_columns_are_the_dense_krons_of_their_terms(cutoff):
+    fock_dim = cutoff + 1
+    rows, cols, table = _rate_table(fock_dim)
+    size = (2 * fock_dim) ** 2
+    assert (np.diff(rows * size + cols) > 0).all() and table.any(axis=1).all()
+    for column, generator in enumerate(dense_unit_generators(fock_dim)):
+        # the first four generators are real, the last four imaginary
+        part, rest = (generator.real, generator.imag) if column < 4 else (generator.imag,
+                                                                           generator.real)
+        assert not rest.any()
+        placed = np.zeros((size, size))
+        placed[rows, cols] = table[:, column]
+        assert np.array_equal(placed, part)
+
+
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (TILTED, 2), (NOISY, 10)],
                          ids=["quiet", "tilted", "noisy"])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_superoperator_matches_dense_kron(params, cutoff, extra):
-    ops = build_operators(params, cutoff + extra)
+    cutoff += extra
     d = derive(params)
-    assert np.array_equal(dense_superoperator(ops, d), dense_kron_superoperator(ops, d))
+    want = dense_kron_superoperator(build_operators(params, cutoff), d)
+    rows, cols, values = liouvillian_superoperator(params, d, cutoff)
+    assert np.array_equal(rows * want.shape[0] + cols, np.flatnonzero(want))
+    # each part of a value is a dot product of up to four rounded terms, and
+    # so is each part of the dense sum: both lie within 2 eps of the exact
+    # sum, in units of the sum of the moduli of its terms
+    scale = dense_kron_moduli(params, cutoff)[rows, cols]
+    want = want[rows, cols]
+    eps = np.finfo(float).eps
+    assert (np.abs(values.real - want.real) <= 4 * eps * scale).all()
+    assert (np.abs(values.imag - want.imag) <= 4 * eps * scale).all()
 
 
 @pytest.mark.parametrize("params, cutoff", [(BASE, 2), (TILTED, 4), (NOISY, 10), (NOISY, 12)],
                          ids=["quiet", "tilted", "noisy", "noisy-refined"])
 def test_superoperator_entries_are_row_major_and_nonzero(params, cutoff):
-    ops = build_operators(params, cutoff)
-    rows, cols, values = liouvillian_superoperator(ops, derive(params))
-    size = ops.hamiltonian.shape[0] ** 2
+    rows, cols, values = liouvillian_superoperator(params, derive(params), cutoff)
+    size = (2 * (cutoff + 1)) ** 2
     assert rows.shape == cols.shape == values.shape and values.dtype == complex
     assert (np.diff(rows * size + cols) > 0).all()
     assert (values != 0).all()
     assert rows.min() >= 0 and cols.min() >= 0 and max(rows.max(), cols.max()) < size
 
 
-def test_coalesce_sums_in_listed_order_and_drops_zeros():
-    # the values listed at keys 7, 3, 7, 7, 3, 1
-    unique, segment = np.array([1, 3, 7]), np.array([2, 1, 2, 2, 1, 0])
-    values = np.array([1.0, 2.0, 1e16, -1e16, -2.0, 5j])
-    got_keys, sums = _coalesce(unique, segment, values)
-    # key 7 sums (0 + 1) + 1e16 - 1e16 = 0 and key 3 sums to 0: both dropped
-    assert np.array_equal(got_keys, [1]) and np.array_equal(sums, [5j])
-    # listed the other way round, key 7 sums (0 - 1e16) + 1e16 + 1 = 1
-    got_keys, sums = _coalesce(unique, segment, np.array([-1e16, 2.0, 1e16, 1.0, -2.0, 5j]))
-    assert np.array_equal(got_keys, [1, 7]) and np.array_equal(sums, [5j, 1.0])
-
-
-def test_kron_plan_places_each_product_where_the_dense_kron_puts_it():
-    rng = np.random.default_rng(5)
-    masks = [rng.random((4, 4)) < 0.3 for _ in range(6)]
-    nonzeros, unique, segment = _kron_plan(*masks)
-    krons = [np.kron(x, y).ravel() for x, y in zip(masks[::2], masks[1::2])]
-    assert np.array_equal(unique, np.flatnonzero(np.any(krons, axis=0)))
-    ends = np.cumsum([k.sum() for k in krons])[:-1]
-    for kron, x, y, keys in zip(krons, masks[::2], masks[1::2], np.split(unique[segment], ends)):
-        # the products run over the nonzero entries of x, then of y, row-major
-        assert np.array_equal(np.sort(keys), np.flatnonzero(kron))
-        assert keys.size == np.count_nonzero(x) * np.count_nonzero(y)
-    assert all(np.array_equal(n, np.nonzero(m)) for n, m in zip(nonzeros, masks))
-
-
-def test_superoperator_plan_is_keyed_on_the_factor_masks():
-    # without atomic decay, delta_a = 0 zeroes the |e,0> entry of H_eff: a
-    # factor pattern, and so a plan, of its own
+def test_exact_zeros_shrink_the_pattern_from_one_table_per_cutoff():
+    # without atomic decay, delta_a = 0 zeroes the |e,0> entry of H_eff
     linalg._plans.clear()
+    sizes = []
     for delta_a in (2.0, 0.5, 0.0):
         params = dataclasses.replace(BASE, gamma=0.0, delta_a=delta_a)
-        ops, d = build_operators(params, 2), derive(params)
-        assert np.array_equal(dense_superoperator(ops, d), dense_kron_superoperator(ops, d))
-    assert sum(key[0] is _kron_plan for key in linalg._plans) == 2
+        d = derive(params)
+        want = dense_kron_superoperator(build_operators(params, 2), d)
+        rows, cols, _ = liouvillian_superoperator(params, d, 2)
+        assert np.array_equal(rows * want.shape[0] + cols, np.flatnonzero(want))
+        sizes.append(rows.size)
+    assert sizes[0] == sizes[1] > sizes[2]
+    # a matched reservoir drops every entry that only n_s and m_s reach
+    assert sizes[0] < _rate_table(3)[0].size
+    liouvillian_superoperator(NOISY, derive(NOISY), 2)
+    assert [key[1:] for key in linalg._plans if key[0] is _rate_table] == [(3,)]
+
+
+def test_superoperator_rejects_bad_cutoff():
+    for cutoff in (0, None, 2.0):
+        with pytest.raises(ValidationError, match="cutoff must be"):
+            liouvillian_superoperator(BASE, derive(BASE), cutoff)
 
 
 @pytest.mark.parametrize("params", [BASE, TILTED, NOISY], ids=["quiet", "tilted", "noisy"])
@@ -1006,7 +1070,7 @@ def test_noisy_point_reads_no_spectrum_until_min_eigs(monkeypatch):
 def test_real_generator_is_the_real_form_of_the_dense_block(params, cutoff):
     generator, start, plan = reachable_block(params, cutoff)
     idx, diagonal = plan.idx, plan.diagonal
-    full = dense_superoperator(build_operators(params, cutoff), derive(params))
+    full = dense_superoperator(params, cutoff)
     vec = initial_state(params, cutoff + 1).reshape(-1)
     block, block_start, want_idx, want_diagonal = dense_reachable_block(full, vec, 2 * (cutoff + 1))
     assert np.array_equal(idx, want_idx) and diagonal == want_diagonal
@@ -1130,16 +1194,16 @@ def plan_arrays(plan):
 def test_cached_plans_are_read_only():
     linalg._plans.clear()
     traj = evolve_master(TILTED, steps=100)
-    # at the cutoff and at cutoff+2: the basis krons and the Liouvillian's
-    # plan; then the block's plan, which holds the defect's structure
+    # the rate tables at the cutoff and at cutoff+2, then the block's plan,
+    # which holds the defect's structure
     arrays = [a for plan in linalg._plans.values() for a in plan_arrays(plan)]
-    assert len(linalg._plans) == 5 and len(arrays) > 9
+    assert len(linalg._plans) == 3 and len(arrays) > 9
     assert traj.block.defect is not None
     for a in arrays + [traj.block.idx]:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     traj.min_eigs
-    assert len(linalg._plans) == 5
+    assert len(linalg._plans) == 3
 
 
 @pytest.mark.parametrize("params", [TILTED, NOISY], ids=["tilted", "noisy"])
@@ -1157,12 +1221,13 @@ def test_plan_cache_holds_at_most_its_cap():
     first = master_bytes(evolve_master(BASE, cutoff=1, steps=100))
     made = set(linalg._plans)
     first_plans = set(made)
-    # the basis krons and the Liouvillian's plan at cutoffs 1 to 23 and the
-    # block's plan at cutoffs 1 to 21: 67 plans
-    for cutoff in range(2, 22):
-        evolve_master(BASE, cutoff=cutoff, steps=100)
-        made |= linalg._plans.keys()
-        assert len(linalg._plans) <= PLAN_CACHE_ENTRIES
+    # the rate tables at cutoffs 1 to 24, the block's plan at cutoff 1 and
+    # those of two starts at cutoffs 2 to 22: 67 plans
+    for cutoff in range(2, 23):
+        for params in (BASE, TILTED):
+            evolve_master(params, cutoff=cutoff, steps=100)
+            made |= linalg._plans.keys()
+            assert len(linalg._plans) <= PLAN_CACHE_ENTRIES
     assert len(made) > PLAN_CACHE_ENTRIES
     # the plans of cutoff 1 were dropped first and are rebuilt the same
     assert first_plans - linalg._plans.keys()
@@ -1265,10 +1330,11 @@ def test_uncertified_cutoff_reruns():
     assert truncation_certificate(NOISY, traj) > 100 * CERTIFIED_DISTANCE
     assert traj.conv_dist == rerun_distance(NOISY, traj) <= CONVERGENCE_DISTANCE
     # the rerun reuses the Liouvillian at cutoff 8 and adds the plan of its
-    # block, which has no defect: a sixth plan
+    # block, which has no defect: a fourth plan after the two rate tables and
+    # the block's
     linalg._plans.clear()
     evolve_master(NOISY, cutoff=6)
-    assert len(linalg._plans) == 6
+    assert len(linalg._plans) == 4
     blocks = [plan for plan in linalg._plans.values() if isinstance(plan, BlockPlan)]
     assert sorted(block.defect is None for block in blocks) == [False, True]
 
@@ -1278,7 +1344,8 @@ def test_uncertified_cutoff_reruns():
     (UNSTABLE_RERUN, None, NoConvergence)],
     ids=["certified", "noisy-rerun", "generic-rerun", "unstable-rerun"])
 def test_one_liouvillian_per_cutoff(params, cutoff, raises, monkeypatch):
-    # L at the cutoff and L' at cutoff+2, each built once: the rerun reuses L'
+    # L at the cutoff and L' at cutoff+2, each built once: the rerun reuses
+    # L'; neither needs build_operators
     calls = []
 
     def counting(name):
@@ -1296,4 +1363,4 @@ def test_one_liouvillian_per_cutoff(params, cutoff, raises, monkeypatch):
     else:
         with pytest.raises(raises):
             evolve_master(params, cutoff)
-    assert sorted(calls) == ["build_operators"] * 2 + ["liouvillian_superoperator"] * 2
+    assert calls == ["liouvillian_superoperator"] * 2

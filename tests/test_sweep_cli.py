@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import os
@@ -193,7 +194,7 @@ def test_run_sweep_rejects_non_integer_worker_count(workers, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(cavityqsl.sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     message = re.escape(f"workers must be an integer, got {workers!r}")
     with pytest.raises(ValidationError, match=message):
         run_sweep(small_spec(), workers=workers)
@@ -216,10 +217,22 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cavityqsl.sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     pooled = run_sweep(small_spec(), workers=64)
     assert sizes == [3]
     assert [format_row(r) for r in pooled] == [format_row(r) for r in run_sweep(small_spec())]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a pooled run_sweep imports concurrent.futures
+    src = str(Path(cavityqsl.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cavityqsl.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_grid_is_checked_before_the_first_point(monkeypatch, capsys):
