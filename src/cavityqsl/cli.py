@@ -8,6 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input or config (or output that cannot be
 written: a closed pipe, a full device; or out of memory), 2 numerical failure.
+The engines and run_sweep check their own input; `--out` is emptied only at
+the first write, so a run that fails leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 from dataclasses import fields
 from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .dynamics import (DEFAULT_STEPS, _require_excited_start, analytic_coeffs, check_steps,
-                       evolve_master, ode_oracle_coeffs)
+from .dynamics import DEFAULT_STEPS, analytic_coeffs, evolve_master, ode_oracle_coeffs
 from .errors import NumericalError, ValidationError
 from .linalg import norms_of_hermitian_stack
-from .model import SystemParams, check_count, check_cutoff, derive, matched_reservoir
+from .model import SystemParams, check_cutoff, derive, matched_reservoir
 from .sweep import (ENGINES, SweepSpec, engine_row, engines_of, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
 
@@ -112,14 +114,20 @@ def _collect_flag_settings(args: argparse.Namespace, keys: Sequence[str]) -> dic
 
 
 class _Output:
-    """The output text stream. A failed write, flush or close is invalid
-    output, raised as one ValidationError; once stdout fails, what it still
-    buffers goes to devnull, so that it does not fail again at exit."""
+    """The output text stream. A regular file is emptied at the first write,
+    never a FIFO, a device or stdout. A failed write, flush or close is
+    invalid output, raised as one ValidationError; once stdout fails, what it
+    still buffers goes to devnull, so that it does not fail again at exit."""
 
     def __init__(self, stream: IO[str]) -> None:
         self.stream = stream
+        self.truncate_first = (stream is not sys.stdout
+                               and stat.S_ISREG(os.fstat(stream.fileno()).st_mode))
 
     def write(self, text: str) -> int:
+        if self.truncate_first:
+            self.truncate_first = False
+            self._call(self.stream.truncate, 0)
         return self._call(self.stream.write, text)
 
     def finish(self) -> None:
@@ -138,14 +146,15 @@ class _Output:
 
 @contextlib.contextmanager
 def _out_stream(path: str | None) -> Iterator[_Output]:
-    """stdout, or the file at path, opened (and truncated) before any work
-    so that a bad path fails fast; a run that fails later leaves it short.
+    """stdout, or the file at path, opened before any work so that a bad path
+    fails fast, but not truncated: _Output empties it at the first write, so
+    a run that fails before it writes leaves an existing file as it was.
     Flushed (stdout) or closed (a file) on the way out, failed run or not."""
     if path is None:
         output = _Output(sys.stdout)
     else:
         try:
-            output = _Output(open(path, "w", encoding="utf-8"))
+            output = _Output(open(path, "a", encoding="utf-8"))
         except OSError as exc:
             raise ValidationError(f"cannot write output {path!r}: {exc}") from None
     try:
@@ -156,24 +165,18 @@ def _out_stream(path: str | None) -> Iterator[_Output]:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    check_steps(args.steps)
-    check_cutoff(args.cutoff)
     with _out_stream(args.out) as stream:
         write_trajectory_csv(evolve_master(params, args.cutoff, args.steps), stream)
     return 0
 
 
 def _cmd_qsl(args: argparse.Namespace) -> int:
-    check_cutoff(args.cutoff)
+    check_cutoff(args.cutoff)  # the closed form ignores the cutoff
     params = build_params(_collect_flag_settings(args, PARAM_KEYS))
-    check_steps(args.steps)
-    engines = engines_of(args.engine)
-    if "analytic" in engines:
-        _require_excited_start(params)
     with _out_stream(args.out) as stream:
         rows = [engine_row(params, engine, 0, 0.0, None, args.cutoff, args.steps,
                            catch_errors=False)
-                for engine in engines]
+                for engine in engines_of(args.engine)]
         write_sweep_csv(rows, stream)
     return 0
 
@@ -189,8 +192,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         settings.update(parse_config(text))
     settings.update(_collect_flag_settings(args, (*PARAM_KEYS, *SWEEP_KEYS)))
     spec = build_sweep_spec(settings)
-    check_count("workers", args.workers, 1)
-    spec.points  # builds, and so checks, the whole grid before --out is opened
     with _out_stream(args.out) as stream:
         write_sweep_csv(run_sweep(spec, workers=args.workers), stream)
     return 0

@@ -143,11 +143,12 @@ class Trajectory:
     ascending; d holds the diagonal entries, x + iy the upper ones and
     x - iy the lower ones, so the state is exactly Hermitian. coords and
     block are None on the analytic path (the closed form never builds the
-    joint density matrix). traces and min_eigs are per-step diagnostics and
-    conv_dist summarizes the whole run: on the master path it is the
-    measured cutoff vs cutoff+2 endpoint trace distance on a row that ran
-    the rerun, and the truncation certificate, a bound on that distance,
-    on a certified row (see evolve_master). min_eigs is computed on first
+    joint density matrix). traces (float64, one per grid point) and
+    min_eigs are per-step diagnostics and conv_dist summarizes the whole
+    run: on the master path it is the measured cutoff vs cutoff+2 endpoint
+    trace distance on a row that ran the rerun, and the truncation
+    certificate, a bound on that distance, on a certified row (see
+    evolve_master). min_eigs is computed on first
     read and cached, since the positivity gate of the master path does not
     need it.
     """
@@ -196,6 +197,9 @@ class Trajectory:
                 and self.reduced.shape == shape and self.reduced.strides[1] == 8):
             raise ValidationError(f"reduced must be a real float64 array of shape {shape} "
                                   f"with contiguous rows")
+        if not (isinstance(self.traces, np.ndarray) and self.traces.dtype == np.float64
+                and self.traces.shape == shape[:1]):
+            raise ValidationError(f"traces must be a float64 array of shape {shape[:1]}")
 
 
 def _rate_combinations(d: DerivedParams, params: SystemParams) -> tuple[complex, complex, complex]:

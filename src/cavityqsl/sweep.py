@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import IO, Sequence
@@ -201,12 +202,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid, rows in grid order.
 
     workers > 1 distributes points over processes, never more processes
-    than points; each point is computed independently, so the result is
+    than points nor than max(2, usable CPUs): the pool starts all of them
+    at once. Each point is computed independently, so the result is
     bit-identical to the sequential run.
     """
     check_count("workers", workers, 1)
     indices = range(len(spec.points))  # builds, and so checks, the whole grid first
-    workers = min(workers, len(indices))
+    workers = min(workers, len(indices), max(2, _usable_cpus()))
     if workers == 1:
         nested = [evaluate_point(spec, i) for i in indices]
     else:
@@ -217,6 +219,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
             nested = list(pool.map(partial(evaluate_point, spec), indices,
                                    chunksize=chunk))
     return [row for rows in nested for row in rows]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fmt(value: float | int | str | None) -> str:

@@ -81,3 +81,13 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused |= {(path.stem, name) for name in bound if name not in used}
     assert unused == TRACER_ONLY
+
+
+def test_cli_imports_only_public_names_of_the_package():
+    # the command line runs on the public library, with no private helper
+    path = Path(cavityqsl.__file__).parent / "cli.py"
+    private = [(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "cavityqsl")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

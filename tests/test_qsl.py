@@ -114,17 +114,22 @@ def test_trajectory_needs_two_points():
         synthetic([P_EXCITED], [np.zeros((2, 2), dtype=complex)])
 
 
-@pytest.mark.parametrize("reduced", [
-    np.zeros((5, 8)), np.zeros((4, 16)), np.zeros((5, 16), dtype=np.float32),
-    np.zeros((5, 16), dtype=complex), np.zeros((5, 16)).tolist(), np.zeros((16, 5)).T],
-    ids=["states_only", "short", "float32", "complex", "list", "transposed"])
-def test_trajectory_needs_a_real_16_column_reduced_array(reduced):
+@pytest.mark.parametrize("field, value", [
+    ("reduced", np.zeros((5, 8))), ("reduced", np.zeros((4, 16))),
+    ("reduced", np.zeros((5, 16), dtype=np.float32)),
+    ("reduced", np.zeros((5, 16), dtype=complex)), ("reduced", np.zeros((5, 16)).tolist()),
+    ("reduced", np.zeros((16, 5)).T), ("traces", np.ones(3)), ("traces", [1.0] * 5)],
+    ids=["states_only", "short", "float32", "complex", "list", "transposed",
+         "traces_short", "traces_list"])
+def test_trajectory_needs_a_real_16_column_reduced_array(field, value):
     # any other width, length, dtype or row stride would leave the complex
-    # views empty, misaligned or impossible
-    with pytest.raises(ValidationError, match=r"reduced must be a real float64 array "
-                                              r"of shape \(5, 16\)"):
-        Trajectory(times=np.linspace(0.0, 1.0, 5), reduced=reduced, fock_cutoff=1,
-                   traces=np.ones(5), conv_dist=0.0)
+    # views empty, misaligned or impossible; a short or listed traces would
+    # fail only later, in the trajectory CSV or in trace_err
+    fields = {"reduced": np.zeros((5, 16)), "traces": np.ones(5), field: value}
+    message = (r"reduced must be a real float64 array of shape \(5, 16\)"
+               if field == "reduced" else r"traces must be a float64 array of shape \(5,\)")
+    with pytest.raises(ValidationError, match=message):
+        Trajectory(times=np.linspace(0.0, 1.0, 5), fock_cutoff=1, conv_dist=0.0, **fields)
 
 
 # alpha = pi/4 starts in a superposition; r_e = 0 leaves an unmatched, noisy reservoir

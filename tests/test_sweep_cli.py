@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import cavityqsl
 import cavityqsl.errors
-from cavityqsl import cli, dynamics
+from cavityqsl import cli, dynamics, sweep
 from cavityqsl.cli import (SWEEP_KEYS, build_params, build_sweep_spec,
                            cli_main, parse_config, run_checks)
 from cavityqsl.dynamics import (CERTIFIED_DISTANCE, CERTIFIED_POSITIVITY, DEFAULT_STEPS,
@@ -200,7 +201,8 @@ def test_run_sweep_rejects_non_integer_worker_count(workers, monkeypatch):
         run_sweep(small_spec(), workers=workers)
 
 
-def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
     # an inline stand-in for the pool records its size and starts no process
     sizes = []
 
@@ -218,9 +220,29 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_run_sweep_starts_no_more_workers_than_points(pool_sizes, monkeypatch):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 8)
     pooled = run_sweep(small_spec(), workers=64)
-    assert sizes == [3]
+    assert pool_sizes == [3]
     assert [format_row(r) for r in pooled] == [format_row(r) for r in run_sweep(small_spec())]
+
+
+@pytest.mark.parametrize("cpus, size", [(1, 2), (2, 2), (4, 4)])
+def test_run_sweep_starts_no_more_workers_than_usable_cpus(cpus, size, pool_sizes,
+                                                             monkeypatch):
+    # at least 2, so that a one-CPU machine still runs the pooled path
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    spec = small_spec(range=(-2.0, 2.0, 5))
+    pooled = run_sweep(spec, workers=5000)
+    assert pool_sizes == [size]
+    assert [format_row(r) for r in pooled] == [format_row(r) for r in run_sweep(spec)]
+
+
+def test_usable_cpus_counts_this_process():
+    assert 1 <= sweep._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -879,23 +901,82 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and str(target) in err
 
 
-@pytest.mark.parametrize("command", [
-    ["evolve", "--cutoff", "0"], ["qsl", "--steps", "5"], ["qsl", "--cutoff", "0"],
-    ["sweep", "--config", str(CONFIGS_DIR / "detuning_sweep.cfg"), "--workers", "0"],
+@pytest.mark.parametrize("command, code, prefix, fault", [
+    (["evolve", "--cutoff", "0"], 1, "error:", None),
+    (["qsl", "--steps", "5"], 1, "error:", None),
+    (["qsl", "--cutoff", "0"], 1, "error:", None),
+    (["sweep", "--config", str(CONFIGS_DIR / "detuning_sweep.cfg"), "--workers", "0"],
+     1, "error:", None),
     # the grid's range check runs when the grid is built
-    ["sweep", "--variable", "r_p", "--range", "0,10,3", "--constraint_mode",
-     "fig2_constrained", "--engine", "master", "--steps", "100"],
+    (["sweep", "--variable", "r_p", "--range", "0,10,3", "--constraint_mode",
+      "fig2_constrained", "--engine", "master", "--steps", "100"], 1, "error:", None),
     # the closed form's excited-start rule, for either engine choice that runs it
-    ["qsl", "--engine", "analytic", "--alpha", "0.3", "--steps", "100"],
-    ["qsl", "--engine", "both", "--alpha", "0.3", "--steps", "100"],
+    (["qsl", "--engine", "analytic", "--alpha", "0.3", "--steps", "100"], 1, "error:", None),
+    (["qsl", "--engine", "both", "--alpha", "0.3", "--steps", "100"], 1, "error:", None),
+    # the file is emptied at the first write, so a run that fails at any
+    # later stage leaves it as it was too
+    (["qsl", "--engine", "master", "--delta_a", "1e308", "--steps", "100"],
+     2, "numerical failure: master propagation did not converge", None),
+    (["evolve", "--steps", "100"], 1, "error: out of memory: ",
+     MemoryError("Unable to allocate 2.91 TiB for an array")),
+    (["evolve", "--steps", "100"], None, "", KeyboardInterrupt()),
 ], ids=["evolve_cutoff", "qsl_steps", "qsl_cutoff", "sweep_workers", "sweep_grid",
-        "qsl_analytic_alpha", "qsl_both_alpha"])
-def test_invalid_input_leaves_existing_out_file_unchanged(command, tmp_path, capsys):
+        "qsl_analytic_alpha", "qsl_both_alpha", "qsl_numerical_failure", "evolve_out_of_memory",
+        "evolve_interrupted"])
+def test_invalid_input_leaves_existing_out_file_unchanged(command, code, prefix, fault,
+                                                          tmp_path, monkeypatch, capsys):
+    def failing_engine(*args, **kwargs):
+        raise fault
+
+    if fault is not None:
+        monkeypatch.setattr(cli, "evolve_master", failing_engine)
     target = tmp_path / "out.csv"
     target.write_bytes(b"kept,bytes\n")
-    assert cli_main([*command, "--out", str(target)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            cli_main([*command, "--out", str(target)])
+    else:
+        assert cli_main([*command, "--out", str(target)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
     assert target.read_bytes() == b"kept,bytes\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["qsl", "--engine", "both", "--steps", "100"],
+    ["evolve", "--steps", "100"],
+    ["sweep", "--variable", "delta_a", "--range", "0,1,2", "--steps", "100"],
+], ids=["qsl", "evolve", "sweep"])
+def test_successful_run_replaces_a_longer_out_file(command, tmp_path, capsys):
+    assert cli_main(command) == 0
+    expected = capsys.readouterr().out.encode()
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"x" * (len(expected) + 100_000))
+    assert cli_main([*command, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    # a device is never truncated
+    assert cli_main(["qsl", "--engine", "analytic", "--steps", "100", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_to_a_fifo_receives_the_whole_csv(tmp_path, capsys):
+    command = ["sweep", "--variable", "delta_a", "--range", "0,1,3", "--engine", "analytic",
+               "--steps", "100"]
+    assert cli_main(command) == 0
+    expected = capsys.readouterr().out.encode()
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert cli_main([*command, "--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert received == [expected]
 
 
 @pytest.mark.parametrize("command, owner, name", [
