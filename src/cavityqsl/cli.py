@@ -7,7 +7,9 @@ Subcommands:
   check   seeded self-test of the core invariants
 
 Exit codes: 0 success, 1 invalid input or config (or output that cannot be
-written: a closed pipe, a full device; or out of memory), 2 numerical failure.
+written: a closed pipe, a full device; or out of memory), 2 numerical failure,
+130 interrupted (Ctrl-C: 128 + SIGINT, the shell's convention), each failure
+with one line on stderr and no traceback.
 The engines and run_sweep check their own input; `--out` is emptied only at
 the first write, so a run that fails leaves an existing file as it was.
 """
@@ -315,6 +317,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

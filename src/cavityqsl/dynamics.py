@@ -16,7 +16,8 @@ Two independent routes to the same physics:
   entries. The Lindblad flow keeps rho Hermitian, so the master path works
   in those real coordinates from the Liouvillian entries to the reduced
   states (dgemm instead of zgemm): a real generator, the RK4 polynomial
-  (all rows by doubling), and a real partial-trace map. Positivity is
+  (all rows by doubling), and a real partial-trace map, the
+  partial_trace_cavity_stack of the unit coordinates. Positivity is
   certified from a bound on the RK4 error, or, where that fails, checked
   by a gate that forms the complex states (complex_form) a chunk of rows
   at a time. The truncation is certified from the cutoff run by a Duhamel
@@ -43,8 +44,8 @@ import numpy as np
 
 from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
                      PositivityViolated, ValidationError)
-from .linalg import cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack
-from .linalg import partial_trace_cavity_stack  # unused: the benchmark tracer wraps this name
+from .linalg import (cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack,
+                     partial_trace_cavity_stack)
 from .model import (DerivedParams, SystemParams, _basis, allocate, check_count, check_cutoff,
                     default_cutoff, derive)
 from .model import build_operators  # unused: the benchmark tracer wraps this name
@@ -101,7 +102,9 @@ GATE_CHUNK_BYTES = 1 << 18
 # superposition start) keep pure binary powering.
 SQUARING_CROSSOVER = 32
 
-# The layout of a reachable block and of its defect, from patterns alone (_block_plan).
+# The layout of a reachable block and of its defect, from patterns alone
+# (_block_plan), built once per pattern by cached_plan; trace_map is the
+# partial trace of the block's unit coordinates (_trace_map).
 BlockPlan = namedtuple("BlockPlan", "idx diagonal kept keys factor trace_map tables defect")
 
 
@@ -129,7 +132,8 @@ class Trajectory:
 
     reduced is the one real (n, 16) array of the reduced atom state at every
     grid point: columns 0-7 hold the real and imaginary parts of the
-    row-major (rho_ee, rho_eg, rho_ge, rho_gg), as _trace_map gives them,
+    row-major (rho_ee, rho_eg, rho_ge, rho_gg), in the row order of the
+    master path's partial-trace map (block.trace_map, from _trace_map),
     and columns 8-15 the same for the derivative. rho_atom and rho_atom_dot
     are read-only complex (n, 2, 2) views of those columns (_atom_form).
 
@@ -627,20 +631,14 @@ def _trace_map(idx: np.ndarray, diagonal: int, fock_dim: int) -> np.ndarray:
     """(8, len(idx)) matrix taking the real coordinates (d, x, y) of
     vec(rho)[idx] to the real and imaginary parts of the row-major reduced
     state (rho_ee, rho_eg, rho_ge, rho_gg), the order of the columns 0-7 of
-    Trajectory.reduced that coords @ M.T fills. Entry (a F + k, b F + l)
-    adds to atom entry (a, b) exactly when k == l, and an upper entry that
-    does is an (e, g) one: its x adds to Re rho_eg and Re rho_ge, its y to
-    Im rho_eg and, negated, to Im rho_ge. The imaginary rows of rho_ee and
-    rho_gg are zero."""
-    end = (idx.size + diagonal) // 2
-    rows, cols = np.divmod(idx[:end], 2 * fock_dim)
-    coherent = diagonal + np.flatnonzero(rows[diagonal:] % fock_dim == cols[diagonal:] % fock_dim)
-    trace_map = np.zeros((8, idx.size))
-    trace_map[6 * (rows[:diagonal] // fock_dim), np.arange(diagonal)] = 1.0
-    trace_map[2, coherent] = trace_map[4, coherent] = 1.0
-    trace_map[3, coherent + (end - diagonal)] = 1.0
-    trace_map[5, coherent + (end - diagonal)] = -1.0
-    return trace_map
+    Trajectory.reduced that coords @ M.T fills. Column c is the partial
+    trace of the joint matrix of the c-th unit coordinate, its complex_form
+    scattered to idx. The entries are 0 and +-1, with no negative zero (the
+    trace's sums start from +0.0), in a C-contiguous float64 array."""
+    units = np.zeros((idx.size, 4 * fock_dim * fock_dim), dtype=complex)
+    units[:, idx] = complex_form(np.eye(idx.size), diagonal)
+    atom = partial_trace_cavity_stack(units.reshape(-1, 2 * fock_dim, 2 * fock_dim), 2, fock_dim)
+    return np.ascontiguousarray(atom.reshape(-1, 4).view(float).T)
 
 
 def _atom_form(columns: np.ndarray) -> np.ndarray:

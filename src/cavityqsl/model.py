@@ -23,7 +23,7 @@ import numpy as np
 from numpy import kron
 
 from .errors import ValidationError
-from .linalg import cached_plan, dagger, eigvalsh
+from .linalg import dagger, eigvalsh
 
 # Fock cutoff heuristics: with a quiet effective reservoir the dynamics stays
 # in the <=1 excitation sector, so cutoff 2 keeps one spare level to detect
@@ -207,11 +207,13 @@ def build_operators(params: SystemParams, cutoff: int) -> ModelOperators:
 
     H = delta_a P_e (x) I + delta_s I (x) n + g_s (raise (x) a + lower (x) a†)
     with P_e the excited-state projector. Atom-major ordering, excited first.
-    The krons come from cached_plan; a point computes only the scalar sums.
+    Each call builds its own _basis factors and returns new writeable arrays;
+    the master path reads the Liouvillian's rate table instead
+    (dynamics.liouvillian_superoperator), so this is the dense reference.
     """
     check_cutoff(cutoff)
     d = derive(params)
-    excited, number, raise_a, lower_a_dag, lower, a = cached_plan(_basis, cutoff + 1)
+    excited, number, raise_a, lower_a_dag, lower, a = _basis(cutoff + 1)
     h = (params.delta_a * excited + d.delta_s * number + d.g_s * (raise_a + lower_a_dag))
     return ModelOperators(hamiltonian=h, lindblad_atom=math.sqrt(params.gamma) * lower,
                           lindblad_cavity=math.sqrt(params.kappa) * a)

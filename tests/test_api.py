@@ -60,8 +60,7 @@ def test_errors_are_the_two_families_and_four_flags():
 # Imported only so that the benchmark tracer can wrap the name where the
 # module looks it up; ROADMAP items 5 (benchmark-only PR) and 7 (deletion
 # pass) drop them with the tracer's entries.
-TRACER_ONLY = {("dynamics", "partial_trace_cavity_stack"), ("dynamics", "build_operators"),
-               ("sweep", "default_cutoff")}
+TRACER_ONLY = {("dynamics", "build_operators"), ("sweep", "default_cutoff")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -81,6 +80,16 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused |= {(path.stem, name) for name in bound if name not in used}
     assert unused == TRACER_ONLY
+
+
+def test_every_tracer_only_import_is_still_a_tracer_boundary():
+    # read, not imported: once a boundary goes, its import can go too
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    boundaries = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                      if isinstance(node, ast.Assign)
+                      and [target.id for target in node.targets] == ["BOUNDARIES"])
+    wrapped = {(module, attr) for module, attr, _ in boundaries}
+    assert {(f"cavityqsl.{module}", name) for module, name in TRACER_ONLY} <= wrapped
 
 
 def test_cli_imports_only_public_names_of_the_package():

@@ -826,6 +826,9 @@ def test_trace_map_is_the_partial_trace():
     idx, diagonal = ordered_support(np.arange(dim * dim), dim)
     trace_map = _trace_map(idx, diagonal, fock_dim)
     assert trace_map.shape == (8, dim * dim) and set(np.unique(trace_map)) == {-1.0, 0.0, 1.0}
+    # coords @ [M; M G]^T reads it as a C-contiguous float64 array of exact signs
+    assert trace_map.dtype == np.float64 and trace_map.flags.c_contiguous
+    assert not np.signbit(trace_map[trace_map == 0.0]).any()
     coords = real_coordinates(stack.reshape(5, -1)[:, idx], diagonal)
     via_map = _atom_form(coords @ trace_map.T)
     direct = partial_trace_cavity_stack(stack, 2, fock_dim)

@@ -177,8 +177,8 @@ def test_lindblad_operators():
                  kappa=0.1, r_e=0.2, theta_e=1.1, alpha=0.6),
     SystemParams(g=0.8, r_p=0.1, gamma=1e-3, kappa=2e-3)], ids=["generic", "resonant"])
 def test_build_operators_is_the_dense_kron_formula(params, cutoff):
-    # the documented H and jump operators by dense np.kron, bit for bit,
-    # from a cold and from a warm plan cache
+    # the documented H and jump operators by dense np.kron, bit for bit, on
+    # two calls in a row, each building its own writeable arrays
     d = derive(params)
     fock = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1.0, fock)), 1).astype(complex)

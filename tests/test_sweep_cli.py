@@ -919,24 +919,24 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys):
      2, "numerical failure: master propagation did not converge", None),
     (["evolve", "--steps", "100"], 1, "error: out of memory: ",
      MemoryError("Unable to allocate 2.91 TiB for an array")),
-    (["evolve", "--steps", "100"], None, "", KeyboardInterrupt()),
+    # an interrupt ends in one line and the shell's 128 + SIGINT
+    (["evolve", "--steps", "100"], 130, "error: interrupted", KeyboardInterrupt()),
+    (["sweep", "--variable", "delta_a", "--range", "0,1,2", "--engine", "master",
+      "--steps", "100"], 130, "error: interrupted", KeyboardInterrupt()),
 ], ids=["evolve_cutoff", "qsl_steps", "qsl_cutoff", "sweep_workers", "sweep_grid",
         "qsl_analytic_alpha", "qsl_both_alpha", "qsl_numerical_failure", "evolve_out_of_memory",
-        "evolve_interrupted"])
+        "evolve_interrupted", "sweep_interrupted"])
 def test_invalid_input_leaves_existing_out_file_unchanged(command, code, prefix, fault,
                                                           tmp_path, monkeypatch, capsys):
     def failing_engine(*args, **kwargs):
         raise fault
 
-    if fault is not None:
+    if fault is not None:  # the master engine as evolve and sweep look it up
         monkeypatch.setattr(cli, "evolve_master", failing_engine)
+        monkeypatch.setattr(sweep, "evolve_master", failing_engine)
     target = tmp_path / "out.csv"
     target.write_bytes(b"kept,bytes\n")
-    if code is None:
-        with pytest.raises(KeyboardInterrupt):
-            cli_main([*command, "--out", str(target)])
-    else:
-        assert cli_main([*command, "--out", str(target)]) == code
+    assert cli_main([*command, "--out", str(target)]) == code
     assert capsys.readouterr().err.startswith(prefix)
     assert target.read_bytes() == b"kept,bytes\n"
 
