@@ -16,7 +16,7 @@ from .linalg import dagger, norms_of_hermitian_stack, partial_trace_cavity_stack
 from .model import (DerivedParams, ModelOperators, SystemParams,
                     bosonic_quadratic_spectrum, build_operators, default_cutoff,
                     derive, squeeze_params)
-from .qsl import QslResult, bures_angle, lambda_averages, qsl_time
+from .qsl import QslResult, lambda_averages, qsl_time
 from .sweep import (CSV_HEADER, SweepRow, SweepSpec, grid_values, run_sweep,
                     write_sweep_csv, write_trajectory_csv)
 
@@ -32,7 +32,7 @@ __all__ = [
     "DerivedParams", "ModelOperators", "SystemParams",
     "bosonic_quadratic_spectrum", "build_operators", "default_cutoff",
     "derive", "squeeze_params",
-    "QslResult", "bures_angle", "lambda_averages", "qsl_time",
+    "QslResult", "lambda_averages", "qsl_time",
     "CSV_HEADER", "SweepRow", "SweepSpec", "grid_values", "run_sweep",
     "write_sweep_csv", "write_trajectory_csv",
     "__version__",

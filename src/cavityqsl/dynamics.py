@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CutoffNotConverged, NoConvergence, NumericalError,
+from .errors import (CutoffNotConverged, NoConvergence, NotPure, NumericalError,
                      PositivityViolated, ValidationError)
 from .linalg import (cached_plan, eigvalsh, gate_min_eig, norms_of_hermitian_stack,
                      partial_trace_cavity_stack)
@@ -56,6 +56,9 @@ DEGENERATE_SPLITTING = 1e-8
 
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
+
+# Trajectory.infidelity refuses a start whose purity is below 1 minus this.
+PURITY_TOL = 1e-9
 
 
 def check_steps(steps: int) -> None:
@@ -135,7 +138,8 @@ class Trajectory:
     row-major (rho_ee, rho_eg, rho_ge, rho_gg), in the row order of the
     master path's partial-trace map (block.trace_map, from _trace_map),
     and columns 8-15 the same for the derivative. rho_atom and rho_atom_dot
-    are read-only complex (n, 2, 2) views of those columns (_atom_form).
+    are read-only complex (n, 2, 2) views of those columns (_atom_form),
+    and infidelity reads 1 - F from columns 0-7 by the engine's rule.
 
     On the master path coords holds, at every grid point, the real
     coordinates (d, x, y) of vec(rho)[block.idx]: the entries of the
@@ -172,6 +176,24 @@ class Trajectory:
     @property
     def rho_atom_dot(self) -> np.ndarray:
         return _atom_form(self.reduced[:, 8:])
+
+    @property
+    def infidelity(self) -> float:
+        """1 - F between the pure start (row 0) and the end state (row -1).
+        Re tr(A B) of Hermitian A and B is the dot product of their columns
+        0-7. Master: tr(adj(rho_0) rho_t) / tr(rho_t); the adjugate of a pure
+        start is I - rho_0 formed without a subtraction, and the ratio
+        divides out RK4 trace drift. Analytic (no coords): 1 - tr(rho_0
+        rho_t), since the closed form's trace loss is physical; from |e> it
+        is bit for bit 1 - rho_ee. A start purity below 1 - PURITY_TOL (or
+        NaN) raises NotPure, since both rules need a pure start."""
+        start, end = self.reduced[0, :8], self.reduced[-1, :8]
+        if not (purity := float(start @ start)) >= 1.0 - PURITY_TOL:
+            raise NotPure(f"reference state purity {purity} below 1 - {PURITY_TOL:.1e}")
+        if self.coords is None:
+            return 1.0 - float(start @ end)
+        adjugate = np.concatenate((start[6:], -start[2:6], start[:2]))
+        return float(adjugate @ end / (end[0] + end[6]))
 
     @property
     def trace_err(self) -> float:

@@ -252,10 +252,10 @@ TRAJECTORY_HEADER = ("t,re_ee,im_ee,re_eg,im_eg,re_ge,im_ge,re_gg,im_gg,"
 
 def write_trajectory_csv(traj: Trajectory, stream: IO[str]) -> None:
     """Reduced-state trajectory table, one line per grid point."""
-    atom = traj.rho_atom
-    # header order; the complex view gives the (re, im) pairs of ee, eg, ge, gg
-    table = np.column_stack((traj.times, atom.reshape(-1, 4).view(float), atom[:, 0, 0].real,
-                             atom[:, 1, 1].real, traj.traces, traj.min_eigs))
+    # header order: columns 0-7 are the (re, im) pairs of ee, eg, ge, gg,
+    # and columns 0 and 6 the populations
+    table = np.column_stack((traj.times, traj.reduced[:, :8], traj.reduced[:, [0, 6]],
+                             traj.traces, traj.min_eigs))
     # one row format rather than np.savetxt, which leaves cyclic garbage per call
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     stream.write(TRAJECTORY_HEADER + "\n")

@@ -19,7 +19,7 @@ PUBLIC = [
     "DerivedParams", "ModelOperators", "SystemParams",
     "bosonic_quadratic_spectrum", "build_operators", "default_cutoff",
     "derive", "squeeze_params",
-    "QslResult", "bures_angle", "lambda_averages", "qsl_time",
+    "QslResult", "lambda_averages", "qsl_time",
     "CSV_HEADER", "SweepRow", "SweepSpec", "grid_values", "run_sweep",
     "write_sweep_csv", "write_trajectory_csv",
     "__version__",

@@ -8,7 +8,7 @@ from cavityqsl.dynamics import Trajectory, analytic_trajectory, evolve_master
 from cavityqsl.errors import NotPure, NumericalError, ValidationError
 from cavityqsl.linalg import eigvalsh, norms_of_hermitian_stack
 from cavityqsl.model import SystemParams, derive
-from cavityqsl.qsl import (FROZEN_RATE, bures_angle, lambda_averages, qsl_time)
+from cavityqsl.qsl import FROZEN_RATE, lambda_averages, qsl_time
 
 BASE = SystemParams(g=1.0, r_p=0.1, delta_a=2.0, delta_c=3.0302247091075975,
                     gamma=1e-3, kappa=1e-3, r_e=0.1, theta_e=math.pi)
@@ -26,31 +26,68 @@ def synthetic(rho_atom, rho_atom_dot, tau=1.0):
                       fock_cutoff=1, traces=np.ones(n), conv_dist=0.0)
 
 
+def endpoint_result(start, end, n=5):
+    """qsl_time of a synthetic trajectory from start to end at a constant
+    rate diag(1, -1), so that no case is frozen by its rates."""
+    d = np.diag([1.0, -1.0]).astype(complex)
+    return qsl_time(synthetic([start] * (n - 1) + [end], [d] * n))
+
+
 def test_bures_angle_trivial_cases():
-    assert bures_angle(P_EXCITED, P_EXCITED) == 0.0
-    assert bures_angle(P_EXCITED, P_GROUND) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert bures_angle(P_EXCITED, 0.5 * np.eye(2)) == pytest.approx(math.pi / 4, abs=1e-12)
+    still = endpoint_result(P_EXCITED, P_EXCITED)
+    assert still.bures == 0.0 and still.frozen
+    assert endpoint_result(P_EXCITED, P_GROUND).bures == pytest.approx(math.pi / 2, abs=1e-12)
+    half = 0.5 * np.eye(2, dtype=complex)
+    assert endpoint_result(P_EXCITED, half).bures == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.7, 1.3, math.pi / 2])
 def test_bures_angle_equals_state_angle(theta):
     # overlap of |e> with cos(t)|e> + sin(t)|g> is cos^2(t), so the angle is t
     psi = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    assert bures_angle(P_EXCITED, np.outer(psi, psi.conj())) == pytest.approx(theta, abs=1e-12)
+    out = endpoint_result(P_EXCITED, np.outer(psi, psi.conj()))
+    assert out.bures == pytest.approx(theta, abs=1e-12)
 
 
 def test_bures_angle_requires_pure_reference():
     with pytest.raises(NotPure):
-        bures_angle(0.5 * np.eye(2, dtype=complex), P_EXCITED)
+        endpoint_result(0.5 * np.eye(2, dtype=complex), P_EXCITED)
 
 
 def test_bures_angle_overshoot_guard():
-    slightly_over = (1.0 + 5e-10) * P_EXCITED
-    assert bures_angle(P_EXCITED, slightly_over) == 0.0
+    slightly_over = endpoint_result(P_EXCITED, (1.0 + 5e-10) * P_EXCITED)
+    assert slightly_over.bures == 0.0 and slightly_over.frozen
     with pytest.raises(NumericalError):
-        bures_angle(P_EXCITED, (1.0 + 5e-9) * P_EXCITED)
+        endpoint_result(P_EXCITED, (1.0 + 5e-9) * P_EXCITED)
     with pytest.raises(NumericalError):
-        bures_angle(P_EXCITED, -5e-9 * P_EXCITED + P_GROUND * 0.0)
+        endpoint_result(P_EXCITED, -5e-9 * P_EXCITED + P_GROUND * 0.0)
+
+
+# the point of tests/test_sweep_cli.py's GROUND_DRIFT: a |g> start whose
+# 1 - tr(rho_0 rho_t) (9.7e-14) is RK4 trace drift, while the population
+# that moved to |e> is 1.3e-18
+GROUND_DRIFT = SystemParams(g=0.02, r_p=0.0127, delta_a=-0.2032, delta_c=-0.3811,
+                            gamma=0.6396, kappa=0.0119, tau=0.0017, alpha=math.pi / 2)
+
+
+def test_infidelity_is_the_engine_rule():
+    # master: the adjugate form reads the population that moved, not drift
+    drift = evolve_master(GROUND_DRIFT)
+    moved = drift.reduced[-1, 0]
+    assert 0.5 * moved <= drift.infidelity <= 2.0 * moved
+    assert drift.infidelity <= 1e-3 * drift.trace_err
+    # analytic: the trace loss is physical, so 1 - rho_ee, bit for bit
+    closed = analytic_trajectory(BASE)
+    assert closed.infidelity == 1.0 - closed.reduced[-1, 0]
+    # master: pure trace drift of the end state leaves 1 - F unchanged
+    tilted = evolve_master(TILTED)
+    reduced = tilted.reduced.copy()
+    reduced[-1, :8] *= 1.0 + 1e-12
+    drifted = replace(tilted, reduced=reduced)
+    assert drifted.infidelity == pytest.approx(tilted.infidelity, rel=4e-16)
+    # while 1 - tr(rho_0 rho_t) would read the drift
+    plain = replace(drifted, coords=None, block=None)
+    assert abs(plain.infidelity - replace(tilted, coords=None, block=None).infidelity) >= 1e-13
 
 
 def test_lambda_averages_constant_derivative():
@@ -76,10 +113,7 @@ def test_lambda_averages_linear_derivative():
 
 def test_qsl_time_hand_computed():
     # angle pi/4 and rates (1, 2, sqrt(2)) give times (1/2, 1/4, 1/(2 sqrt 2))
-    n = 5
-    rho = [P_EXCITED] * (n - 1) + [0.5 * np.eye(2, dtype=complex)]
-    d = np.diag([1.0, -1.0]).astype(complex)
-    out = qsl_time(synthetic(rho, [d] * n))
+    out = endpoint_result(P_EXCITED, 0.5 * np.eye(2, dtype=complex))
     assert out.bures == pytest.approx(math.pi / 4, abs=1e-12)
     assert out.t_op == pytest.approx(0.5, abs=1e-12)
     assert out.t_tr == pytest.approx(0.25, abs=1e-12)

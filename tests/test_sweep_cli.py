@@ -751,13 +751,13 @@ def test_step_norm_filter_sends_the_unstable_rerun_point_to_the_rerun(monkeypatc
     assert evolve_master(UNSTABLE_RERUN).conv_dist <= CERTIFIED_DISTANCE
 
 
-# 1 - F of this |g> start is the RK4 trace drift (9.7e-14), not the
-# population that moved (1.3e-18), so the row reads t_qsl = 130 with flag ok
+# 1 - tr(rho_0 rho_t) of this |g> start is the RK4 trace drift (9.7e-14),
+# not the population that moved (1.3e-18); read as 1 - F, it made the row
+# t_qsl = 130 with flag ok
 GROUND_DRIFT = SystemParams(g=0.02, r_p=0.0127, delta_a=-0.2032, delta_c=-0.3811,
                             gamma=0.6396, kappa=0.0119, tau=0.0017, alpha=math.pi / 2)
 
 
-@pytest.mark.xfail(strict=True, reason="the master Bures angle of a |g> start is trace drift")
 def test_ok_master_row_speed_limit_is_at_most_tau():
     row = engine_row(GROUND_DRIFT, "master", 0, 0.0, None, None, DEFAULT_STEPS)
     assert row.flag != "ok" or row.t_qsl <= GROUND_DRIFT.tau
@@ -786,6 +786,12 @@ def domain_params(draw):
     return matched_reservoir(params) if draw(st.booleans()) else params
 
 
+# The speed limit is a lower bound on tau, up to the trapezoid and RK4
+# error of the rate averages: 1.1e-3 at worst on an analytic row at
+# kappa = 185, where the grid under-resolves the decay.
+TAU_BOUND_TOL = 2e-3
+
+
 @settings(max_examples=30, deadline=None)
 @given(params=domain_params())
 def test_engine_row_never_raises_or_warns_over_the_domain(params):
@@ -796,6 +802,8 @@ def test_engine_row_never_raises_or_warns_over_the_domain(params):
     for row in rows:
         if row.flag in ("ok", "frozen"):
             assert row.t_op >= row.t_hs >= row.t_tr
+        if row.flag == "ok":
+            assert row.t_qsl <= params.tau * (1.0 + TAU_BOUND_TOL)
 
 
 def master_outcome(params):
